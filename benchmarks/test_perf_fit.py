@@ -1,20 +1,22 @@
-"""Acceptance gate for the adaptive ensemble-training engine.
+"""Acceptance gate for adaptive ensemble training.
 
-Three contracts, all against ``fit_mode="classic"`` (the original
-global-stop loop, kept as the reference baseline):
+Three contracts, all against the "classic" baseline: cold fits with
+member freezing off (``freeze_patience=math.inf``), the global-stop loop
+where every member trains until the mean loss plateaus:
 
 * **campaign fit wall-time** — a training *trajectory* at the fig11
   paper-anchor set sizes (N=2000 and N=500 stage-one draws): one cold
   fit plus three drift-regime refits, the workload the online tuner and
-  the serve daemon's watch campaigns actually run.  The adaptive engine
+  the serve daemon's watch campaigns actually run.  Adaptive training
   (member freezing on the cold fit, warm starts on the refits) must be
   ``>= MIN_SPEEDUP`` faster in aggregate, with mean prediction
   divergence ``<= MAX_REL_DIVERGENCE`` on every fit.
-* **tuner-pick parity** — with freezing disabled
-  (``freeze_patience=inf``) the adaptive loop is bit-identical to
-  classic, so the end-to-end tuner pick must not move: 20 seeded tunes
-  per engine, 20/20 identical picks (the same acceptance pattern the
-  fused sweep engine shipped under in
+* **tuner-pick parity** — with freezing disabled the training loop is
+  bit-identical to the reference global-stop loop
+  (``tests/test_ml_adaptive.py::classic_train``), so the end-to-end
+  tuner pick must not move: 20 seeded tunes per trainer, 20/20
+  identical picks (the same acceptance pattern the fused sweep engine
+  shipped under in
   ``test_perf_predict_sweep.py::test_tuner_pick_unchanged_by_engine``).
 * **warm-restart convergence** — a warm refit must spend fewer epochs
   than the cold fits it replaces (deterministic, wall-noise-free).
@@ -24,6 +26,7 @@ Each run appends a trajectory point to ``benchmarks/BENCH_fit.json``
 as a series, not just a pass/fail bit.
 """
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -95,20 +98,24 @@ def _campaign_targets(n_train: int):
     return X, targets
 
 
-def _run_campaign(X, targets, fit_mode):
+def _run_campaign(X, targets, adaptive):
     """Fit the clean set cold, then refit each drifted set.
 
-    The classic engine has no warm path — every refit is a cold fit,
-    which is exactly what pre-adaptive campaigns paid.
+    The classic baseline (freezing off) refits cold every time, which is
+    exactly what pre-adaptive campaigns paid; adaptive training freezes
+    members and warm-starts the refits.
     """
-    model = EnsembleMLPRegressor(seed=0, fit_mode=fit_mode)
+    if adaptive:
+        model = EnsembleMLPRegressor(seed=0)
+    else:
+        model = EnsembleMLPRegressor(seed=0, freeze_patience=math.inf)
     wall = 0.0
     epochs = 0
     work = 0
     preds = []
     for i, y in enumerate(targets):
         t0 = time.perf_counter()
-        model.fit(X, y, warm_start=(fit_mode == "adaptive" and i > 0))
+        model.fit(X, y, warm_start=(adaptive and i > 0))
         wall += time.perf_counter() - t0
         epochs += len(model.loss_curve_)
         work += int(model.member_epochs_.sum())
@@ -121,8 +128,8 @@ def test_campaign_fit_speedup_and_quality():
     wall_c = wall_a = 0.0
     for n in ANCHORS:
         X, targets = _campaign_targets(n)
-        _, wc, ec, workc, pc = _run_campaign(X, targets, "classic")
-        ma, wa, ea, worka, pa = _run_campaign(X, targets, "adaptive")
+        _, wc, ec, workc, pc = _run_campaign(X, targets, adaptive=False)
+        ma, wa, ea, worka, pa = _run_campaign(X, targets, adaptive=True)
         rel = max(
             float(np.mean(np.abs(np.exp(a) - np.exp(c)) / np.exp(c)))
             for a, c in zip(pa, pc)
@@ -184,8 +191,8 @@ def test_warm_refit_spends_fewer_epochs():
     """Deterministic companion to the wall gate: warm refits must spend
     strictly fewer member-epochs than the cold fits they replace."""
     X, targets = _campaign_targets(500)
-    _, _, ec, workc, _ = _run_campaign(X, targets, "classic")
-    _, _, ea, worka, _ = _run_campaign(X, targets, "adaptive")
+    _, _, ec, workc, _ = _run_campaign(X, targets, adaptive=False)
+    _, _, ea, worka, _ = _run_campaign(X, targets, adaptive=True)
     emit(
         f"refit epoch spend (N=500): classic {ec} epochs / {workc} "
         f"member-epochs, adaptive {ea} epochs / {worka} member-epochs"
@@ -194,29 +201,42 @@ def test_warm_refit_spends_fewer_epochs():
     assert worka < workc
 
 
+def _classic_train():
+    """The reference global-stop loop, kept as the oracle in
+    ``tests/test_ml_adaptive.py`` (loaded by path: the benchmark suite
+    does not put the test package on ``sys.path``)."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "test_ml_adaptive.py"
+    spec = importlib.util.spec_from_file_location("_ml_adaptive_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.classic_train
+
+
 @pytest.mark.slow
-def test_tuner_pick_unchanged_by_adaptive_engine():
-    """Freezing off, the adaptive engine is the classic engine bit for
-    bit — so over PICK_SEEDS seeded end-to-end tunes the pick must
-    never move."""
+def test_tuner_pick_unchanged_by_adaptive_engine(monkeypatch):
+    """Freezing off, the training loop is the reference global-stop loop
+    bit for bit — so over PICK_SEEDS seeded end-to-end tunes the pick
+    must never move."""
     spec = get_benchmark(KERNEL)
-
-    def tune(seed, settings):
-        ctx = Context(get_device(DEVICE), seed=seed)
-        tuner = MLAutoTuner(ctx, spec, settings)
-        return tuner.tune(np.random.default_rng(seed), model_seed=seed)
-
-    classic = TunerSettings(n_train=300, m_candidates=30, fit_mode="classic")
+    classic_train = _classic_train()
     parity = TunerSettings(
         n_train=300,
         m_candidates=30,
-        fit_mode="adaptive",
         freeze_patience=math.inf,
     )
+
+    def tune(seed, reference):
+        with monkeypatch.context() as mp:
+            if reference:
+                mp.setattr(EnsembleMLPRegressor, "_train", classic_train)
+            ctx = Context(get_device(DEVICE), seed=seed)
+            tuner = MLAutoTuner(ctx, spec, parity)
+            return tuner.tune(np.random.default_rng(seed), model_seed=seed)
+
     matched = 0
     for seed in range(PICK_SEEDS):
-        c = tune(seed, classic)
-        a = tune(seed, parity)
+        c = tune(seed, reference=True)
+        a = tune(seed, reference=False)
         assert a.best_index == c.best_index, (
             f"seed {seed}: adaptive pick {a.best_index} != "
             f"classic {c.best_index}"

@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -141,7 +142,6 @@ def cmd_tune(args) -> int:
         settings = TunerSettings(
             n_train=args.n_train,
             m_candidates=args.m_candidates,
-            fit_mode=args.fit_mode,
         )
     if args.trace:
         tracer = Tracer(
@@ -534,7 +534,7 @@ def cmd_sweep_bench(args) -> int:
 
 
 def cmd_fit_bench(args) -> int:
-    """Benchmark the adaptive ensemble-training engine against classic."""
+    """Benchmark member-wise freezing against training with it off."""
     from repro.ml.ensemble import EnsembleMLPRegressor
 
     spec = get_benchmark(args.kernel)
@@ -561,22 +561,22 @@ def cmd_fit_bench(args) -> int:
               f"stop={model.stop_reason_}  frozen={model.n_frozen_}")
         return model
 
-    classic = run("classic", fit_mode="classic")
-    adaptive = run("adaptive", fit_mode="adaptive")
-    speedup = classic.fit_wall_s_ / max(adaptive.fit_wall_s_, 1e-12)
+    unfrozen = run("freezing off", freeze_patience=math.inf)
+    frozen = run("freezing (default)")
+    speedup = unfrozen.fit_wall_s_ / max(frozen.fit_wall_s_, 1e-12)
     rel = float(np.mean(np.abs(
-        np.exp(adaptive.predict(X)) - np.exp(classic.predict(X))
-    ) / np.exp(classic.predict(X))))
-    print(f"speedup (classic/adaptive) : {speedup:.2f}x")
+        np.exp(frozen.predict(X)) - np.exp(unfrozen.predict(X))
+    ) / np.exp(unfrozen.predict(X))))
+    print(f"speedup (off/default)      : {speedup:.2f}x")
     print(f"mean relative divergence   : {rel:.4f}")
 
-    t_warm = adaptive.fit_wall_s_
-    cold_epochs = len(adaptive.loss_curve_)
-    adaptive.fit(X, y, warm_start=True)
-    print(f"warm-start refit           : {adaptive.fit_wall_s_:.2f} s, "
-          f"{len(adaptive.loss_curve_)} epochs "
-          f"({len(adaptive.loss_curve_) / max(cold_epochs, 1):.1%} of cold), "
-          f"{t_warm / max(adaptive.fit_wall_s_, 1e-12):.1f}x faster")
+    t_warm = frozen.fit_wall_s_
+    cold_epochs = len(frozen.loss_curve_)
+    frozen.fit(X, y, warm_start=True)
+    print(f"warm-start refit           : {frozen.fit_wall_s_:.2f} s, "
+          f"{len(frozen.loss_curve_)} epochs "
+          f"({len(frozen.loss_curve_) / max(cold_epochs, 1):.1%} of cold), "
+          f"{t_warm / max(frozen.fit_wall_s_, 1e-12):.1f}x faster")
     return 0
 
 
@@ -718,11 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
                            f"{', '.join(sorted(DRIFT_PROFILES))}; "
                            "fields can be overridden as "
                            "'thermal-throttle:onset_s=600,ramp_s=120'")
-    tune.add_argument("--fit-mode", choices=("adaptive", "classic"),
-                      default="adaptive",
-                      help="ensemble training engine: adaptive "
-                           "(member-wise convergence freezing, default) "
-                           "or classic (reference global-stop loop)")
     tune.add_argument("--strategy", default="ml",
                       choices=("ml",) + _strategy_choices(),
                       help="'ml' (the paper's two-stage ANN tuner, default) "
@@ -858,7 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ftb = sub.add_parser(
         "fit-bench",
-        help="benchmark the adaptive ensemble-training engine vs classic",
+        help="benchmark member-wise freezing vs ensemble training with "
+             "it off",
     )
     ftb.add_argument("-k", "--kernel", default="convolution",
                      choices=sorted(BENCHMARKS))

@@ -47,15 +47,12 @@ class IterativeSettings:
     k_bag: int = 11
     #: Prediction-sweep engine knobs for every round's model.
     sweep: SweepSettings = field(default_factory=SweepSettings)
-    #: Ensemble training engine for every round's model ("adaptive" or
-    #: "classic" — see :class:`repro.ml.ensemble.EnsembleMLPRegressor`).
-    fit_mode: str = "adaptive"
+    #: Member-freeze patience override for every round's model (``None``
+    #: keeps the ensemble default; ``math.inf`` disables freezing — see
+    #: :class:`repro.ml.ensemble.EnsembleMLPRegressor`).
+    freeze_patience: Optional[float] = None
 
     def __post_init__(self):
-        if self.fit_mode not in ("adaptive", "classic"):
-            raise ValueError(
-                f"fit_mode must be 'adaptive' or 'classic', got {self.fit_mode!r}"
-            )
         if self.total_budget < 50:
             raise ValueError("total_budget must be >= 50")
         if self.rounds < 1:
@@ -126,7 +123,7 @@ class IterativeTuner:
                         continue
                     self.model = PerformanceModel(
                         space, k=s.k_bag, seed=model_seed, tracer=tracer,
-                        sweep=s.sweep, fit_mode=s.fit_mode,
+                        sweep=s.sweep, freeze_patience=s.freeze_patience,
                     )
                     self.model.fit(data.indices, data.times_s)
 

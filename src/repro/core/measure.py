@@ -13,33 +13,34 @@ Two layers sit on top of the single-config path:
   are served from it without touching the simulator, the RNG or the cost
   ledger (the real-world analogue: a persisted campaign result needs no
   re-run after a crash);
-* **a vectorized batch engine** — :meth:`Measurer.measure_batch` classifies
-  a whole index array, evaluates all not-yet-known configurations through
-  the simulator's batch API, and draws every noise sample in one RNG call.
-  It is bit-identical to looping :meth:`Measurer.measure` — same
-  measurements, same ledger totals, same RNG stream consumption — just an
-  order of magnitude faster.
+* **one vectorized batch engine** — :meth:`Measurer.measure_batch`
+  classifies a whole index array, evaluates all not-yet-known
+  configurations through the simulator's batch API, and draws every noise
+  sample in one RNG call.  It is bit-identical to looping
+  :meth:`Measurer.measure` — same measurements, same ledger totals, same
+  RNG stream consumption — just an order of magnitude faster.
 
-Under faults and/or drift the batch engine switches to its *wave-based*
-form (:meth:`Measurer.measure_batch_direct`): fault outcomes are keyed
-hash draws that never touch the context RNG, backoff is a deterministic
-ledger charge, and drift factors are keyed functions of the ledger clock
-— so whole attempt-waves of probe outcomes are precomputable without
-side effects.  The engine resolves every configuration's retry schedule
-through vectorized fault draws, evaluates all needed configurations
-through the simulator batch API, draws the noise in one RNG call, and
-replays the one true sequential dependency — the drift clock, a prefix
-sum of prior charges into which measured times feed back — as a cheap
-O(n) scalar arithmetic scan.  The result is bit-identical to the serial
-resilient loop (kept as :meth:`Measurer.measure_batch_serial_resilient`)
-by construction: same values, ledger buckets, RNG stream, quarantine
-sets, fault-stream counters and drift counters.
+The engine is *wave-based* so the same code also serves faults and
+drift: fault outcomes are keyed hash draws that never touch the context
+RNG, backoff is a deterministic ledger charge, and drift factors are keyed
+functions of the ledger clock — so whole attempt-waves of probe outcomes
+are precomputable without side effects.  The engine resolves every
+configuration's retry schedule through vectorized fault draws (without an
+injector a schedule is fixed by the configuration's validity stage),
+evaluates all needed configurations through the simulator batch API,
+draws the noise in one RNG call, and replays the one true sequential
+dependency — the ledger, whose running total is the drift clock and into
+which measured times feed back — as a cheap O(n) scalar arithmetic scan.
+The result is bit-identical to the serial resilient loop (kept as
+:meth:`Measurer.measure_batch_serial_resilient`) by construction: same
+values, ledger buckets, RNG stream, quarantine sets, fault-stream counters
+and drift counters.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -64,6 +65,10 @@ from repro.simulator.validity import (
     STAGE_OK_CODE,
     validate,
 )
+
+
+#: Cache-miss sentinel (``None`` is a cached invalid).
+_UNSEEN = object()
 
 
 def _empty_idx() -> np.ndarray:
@@ -142,9 +147,11 @@ class EngineStats:
     — reported separately from ``n_invalid``, which stays a statement
     about the configuration space.
 
-    ``n_waves`` counts attempt waves executed by the wave-based resilient
-    batch engine (one per vectorized fault-draw round, plus one per
-    fault-free evaluation pass under drift); the serial paths leave it 0.
+    ``n_waves`` counts attempt waves executed by the batch engine: one
+    per vectorized fault-draw round under a fault profile, one per
+    evaluation pass under drift alone, and none on a batch with neither
+    (so a fault-free engine-stats report carries no waves line).  The
+    serial paths leave it 0.
     """
 
     n_requested: int = 0
@@ -222,22 +229,6 @@ class EngineStats:
         }
 
 
-def _sequential_sum(start: float, contributions: np.ndarray) -> float:
-    """``start + c0 + c1 + ...`` accumulated strictly left to right.
-
-    ``np.sum`` uses pairwise summation, whose rounding differs from the
-    scalar path's sequential ``+=``; a running cumulative sum reproduces
-    the scalar result bit for bit.
-    """
-    if contributions.size == 0:
-        return start
-    return float(np.cumsum(np.concatenate(([start], contributions)))[-1])
-
-
-# Batch classification codes (internal to measure_batch).
-_FRESH, _CACHED, _DB, _DUP = 0, 1, 2, 3
-
-
 class _ProbeSchedule:
     """Resolved retry schedule of one first-probe job (wave engine).
 
@@ -253,12 +244,38 @@ class _ProbeSchedule:
 
     __slots__ = ("events", "broke", "outcome", "b_rolls", "l_rolls")
 
-    def __init__(self):
-        self.events: List[str] = []
+    def __init__(self, events: Sequence[str] = (), outcome: str = ""):
+        self.events: List[str] = list(events)
         self.broke: List[bool] = []
-        self.outcome: str = ""
+        self.outcome: str = outcome
         self.b_rolls = 0
         self.l_rolls = 0
+
+
+#: Read-only schedules of a fault-free first evaluation, one per stage
+#: code: without an injector a fresh configuration's outcome is a pure
+#: function of its validity stage, so every such position shares one.
+_PLAIN_SCHEDULES = {
+    STAGE_OK_CODE: _ProbeSchedule(("ok",), "ok"),
+    STAGE_BUILD_CODE: _ProbeSchedule(("binv",), "invalid"),
+    STAGE_LAUNCH_CODE: _ProbeSchedule(("linv",), "invalid"),
+}
+
+#: Trace counter per :class:`EngineStats` field, folded in per batch.
+_MEASURE_COUNTERS = (
+    ("measure.requested", "n_requested"),
+    ("measure.simulated", "n_simulated"),
+    ("measure.cache_hits", "n_cache_hits"),
+    ("measure.db_hits", "n_db_hits"),
+    ("measure.invalid", "n_invalid"),
+    ("measure.waves", "n_waves"),
+)
+_FAULT_COUNTERS = (
+    ("fault.transient", "n_transient"),
+    ("fault.timeouts", "n_timeouts"),
+    ("fault.retries", "n_retries"),
+    ("fault.quarantined", "n_quarantined"),
+)
 
 
 @dataclass(frozen=True)
@@ -554,17 +571,17 @@ class Measurer:
            batch API (:func:`repro.simulator.executor.execute_batch`);
         3. draw every noise sample in a single RNG call and assemble probe
            observations and best-of-``repeats`` minima by gather;
-        4. accumulate the ledger from per-position contribution arrays in
-           input order.
+        4. replay the ledger charges in input order as one scalar scan
+           (the running total is the drift clock, into which measured
+           times feed back).
 
-        With a fault injector and/or a drift model attached, the batch
-        runs through the *wave-based* resilient engine instead: retry
-        schedules are resolved in vectorized attempt waves of keyed fault
-        draws, the simulator still evaluates whole arrays, noise is still
-        one RNG call, and only the drift-clock recurrence is replayed as
-        a cheap scalar scan — bit-identical to the serial resilient loop
-        (retry, backoff, quarantine per configuration) by construction,
-        at batch-engine throughput.
+        The same engine handles a fault injector and/or a drift model:
+        retry schedules are resolved in vectorized attempt waves of keyed
+        fault draws, the simulator still evaluates whole arrays, noise is
+        still one RNG call, and only the drift-clock recurrence is
+        replayed as a cheap scalar scan — bit-identical to the serial
+        resilient loop (retry, backoff, quarantine per configuration) by
+        construction, at batch-engine throughput.
 
         With a ``batcher`` attached the batch is submitted to it instead
         (see the constructor); the broker executes it through
@@ -578,17 +595,15 @@ class Measurer:
         """:meth:`measure_batch` without broker indirection — the entry
         point measurement brokers use to execute submitted batches.
 
-        Faults *or drift* on the context route the batch through the
-        wave-based resilient engine (``measure.batch.waves`` span), which
-        reproduces the serial resilient loop bit for bit while keeping
-        the simulator, fault-draw, and noise work vectorized; the
-        fault-free, drift-free fast path (``measure.batch`` span) is
-        unchanged."""
-        if self.context.faults is not None or self.context.drift is not None:
-            with self.context.tracer.span("measure.batch.waves") as span:
-                return self._measure_batch_waves(indices, span)
+        Every batch runs through the wave engine under one
+        ``measure.batch`` span; with neither faults nor drift on the
+        context it resolves each fresh configuration in a single pass
+        (no fault draws, no waves counted)."""
         with self.context.tracer.span("measure.batch") as span:
-            return self._measure_batch(indices, span)
+            stats0 = replace(self.stats)
+            ms = self._measure_batch_waves(indices)
+            self._trace_batch(span, stats0, ms)
+            return ms
 
     def measure_batch_serial_resilient(
         self, indices: Sequence[int]
@@ -598,15 +613,44 @@ class Measurer:
         bit for bit.  Kept public as the equivalence baseline and for perf
         comparison; production paths use :meth:`measure_batch_direct`."""
         with self.context.tracer.span("measure.batch.resilient") as span:
-            return self._measure_batch_resilient(indices, span)
+            stats0 = replace(self.stats)
+            ms = self._measure_batch_resilient(indices)
+            self._trace_batch(span, stats0, ms)
+            return ms
 
-    def _measure_batch_resilient(
-        self, indices: Sequence[int], span
-    ) -> MeasurementSet:
-        stats0 = EngineStats(**{
-            k: getattr(self.stats, k)
-            for k in ("n_transient", "n_retries", "n_timeouts", "n_quarantined")
-        })
+    def _trace_batch(
+        self, span, stats0: EngineStats, ms: MeasurementSet
+    ) -> None:
+        """Fold one batch's engine-counter deltas into the trace.
+
+        Aggregate per batch — never per configuration, so a disabled
+        tracer costs a handful of no-op calls for a whole sweep.  The
+        ``fault.*`` counters are only folded in when the context carries
+        a fault injector, so fault-free traces have no fault block.
+        """
+        tracer = self.context.tracer
+        if not tracer.enabled:
+            return
+        s = self.stats
+        pairs = _MEASURE_COUNTERS
+        if self.context.faults is not None:
+            pairs = pairs + _FAULT_COUNTERS
+        for name, f in pairs:
+            tracer.count(name, getattr(s, f) - getattr(stats0, f))
+        span.set(
+            n=s.n_requested - stats0.n_requested,
+            simulated=s.n_simulated - stats0.n_simulated,
+            cache_hits=s.n_cache_hits - stats0.n_cache_hits,
+            db_hits=s.n_db_hits - stats0.n_db_hits,
+            invalid=ms.n_invalid,
+            quarantined=ms.n_quarantined,
+            transient=s.n_transient - stats0.n_transient,
+            timeouts=s.n_timeouts - stats0.n_timeouts,
+            retries=s.n_retries - stats0.n_retries,
+            waves=s.n_waves - stats0.n_waves,
+        )
+
+    def _measure_batch_resilient(self, indices: Sequence[int]) -> MeasurementSet:
         idx = [int(i) for i in indices]
         ok_idx: List[int] = []
         ok_times: List[float] = []
@@ -621,24 +665,6 @@ class Measurer:
                 quarantined_idx.append(i)
             else:
                 bad_idx.append(i)
-        tracer = self.context.tracer
-        if tracer.enabled:
-            s = self.stats
-            tracer.count("measure.requested", len(idx))
-            tracer.count("fault.transient", s.n_transient - stats0.n_transient)
-            tracer.count("fault.timeouts", s.n_timeouts - stats0.n_timeouts)
-            tracer.count("fault.retries", s.n_retries - stats0.n_retries)
-            tracer.count(
-                "fault.quarantined", s.n_quarantined - stats0.n_quarantined
-            )
-            span.set(
-                n=len(ok_idx) + len(bad_idx) + len(quarantined_idx),
-                invalid=len(bad_idx),
-                quarantined=len(quarantined_idx),
-                transient=s.n_transient - stats0.n_transient,
-                timeouts=s.n_timeouts - stats0.n_timeouts,
-                retries=s.n_retries - stats0.n_retries,
-            )
         return MeasurementSet(
             indices=np.asarray(ok_idx, dtype=np.int64),
             times_s=np.asarray(ok_times, dtype=np.float64),
@@ -748,9 +774,9 @@ class Measurer:
             s.l_rolls = int(l_used[j])
         return scheds, waves
 
-    def _measure_batch_waves(self, indices: Sequence[int], span) -> MeasurementSet:
-        """Wave-based resilient batch engine: vectorized measurement under
-        faults and/or drift, bit-identical to the serial resilient loop.
+    def _measure_batch_waves(self, indices: Sequence[int]) -> MeasurementSet:
+        """Wave-based batch engine: vectorized measurement, with or without
+        faults and drift, bit-identical to the serial resilient loop.
 
         Phases:
 
@@ -769,11 +795,13 @@ class Measurer:
            factors from per-regime batched quirk draws and re-validating
            every budget decision against the exact ledger floats;
         4. *commit* — ledger buckets, stats, caches, quarantine, injector
-           counters, drift counters, DB write-through, trace counters.
+           counters, drift counters, DB write-through.
 
-        All phases before 4 are pure; a budget-rounding disagreement in
+        Without an injector phase 1a draws nothing: every fresh
+        configuration's schedule is fixed by its validity stage.  All
+        phases before 4 are pure; a budget-rounding disagreement in
         phase 3 restores the RNG state and re-runs the batch through the
-        serial loop inside the same ``measure.batch.waves`` span.
+        serial loop inside the same ``measure.batch`` span.
         """
         t0 = time.perf_counter()
         ctx = self.context
@@ -791,12 +819,7 @@ class Measurer:
         n = len(idx)
 
         # -- unique indices, DB state at entry, batch simulation ------------
-        uniq: List[int] = []
-        seen: set = set()
-        for i in idx:
-            if i not in seen:
-                seen.add(i)
-                uniq.append(i)
+        uniq: List[int] = list(dict.fromkeys(idx))  # first-seen order
         db_known: Dict[int, Optional[float]] = {}
         if db is not None:
             for i in uniq:
@@ -822,15 +845,14 @@ class Measurer:
             compile_costs = device.compile_time_base_s + (
                 device.compile_time_per_unroll_s * (wb.unroll_factor - 1)
             )
-            for j, i in enumerate(sim_ids):
-                stage_of[i] = int(be.stages[j])
-                base_of[i] = (
-                    float(be.times[j])
-                    if be.stages[j] == STAGE_OK_CODE
-                    else None
-                )
-                compile_of[i] = float(compile_costs[j])
-                tuples_of[i] = tuples[j]
+            stages = be.stages.tolist()
+            stage_of = dict(zip(sim_ids, stages))
+            base_of = {
+                i: (t if st == STAGE_OK_CODE else None)
+                for i, st, t in zip(sim_ids, stages, be.times.tolist())
+            }
+            compile_of = dict(zip(sim_ids, compile_costs.tolist()))
+            tuples_of = dict(zip(sim_ids, tuples))
             # Fault config keys and drift quirk keys share one structure:
             # part64((kernel, config_tuple)) per configuration.
             if faults is not None or (
@@ -868,22 +890,25 @@ class Measurer:
                 )
                 waves += w
                 scheds_by_index = dict(zip(new_ids, scheds))
-        elif sim_ids:
+        elif drift is not None and sim_ids:
             waves += 1  # one fault-free evaluation wave under drift
 
         # -- phase 1b: classification scan (no RNG, no ledger floats) -------
         # Entry tuples: (type, schedule-or-None, base-or-None) per position.
         E_DB, E_CACHED_OK, E_CACHED_INV, E_FRESH, E_QUAR = range(5)
-        local_cache: Dict[int, Optional[float]] = dict(self._cache)
+        # The compile cache as the scan sees it: this batch's entries
+        # overlay the measurer's (no per-batch copy); a device reset
+        # drops both.
+        local_cache: Dict[int, Optional[float]] = {}
+        entry_cache = self._cache
         q_local: set = set()
         resolved: set = set()
         entries: List[tuple] = []
-        counts = np.zeros(n, dtype=np.int64)
+        counts: List[int] = [0] * n  # noise draws per position
         consumed_b: Dict[int, int] = {}
         consumed_l: Dict[int, int] = {}
         outlier_n: Dict[int, int] = {}
         outlier_jobs: List[tuple] = []  # (position, index, in-batch roll no.)
-        used_scheds: List[_ProbeSchedule] = []
         p_outlier = faults.profile.p_outlier if faults is not None else 0.0
         for p, i in enumerate(idx):
             if db is not None and (i in db_known or i in resolved):
@@ -892,8 +917,10 @@ class Measurer:
             if faults is not None and (i in self.quarantine or i in q_local):
                 entries.append((E_QUAR, None, None))
                 continue
-            if i in local_cache:
-                base = local_cache[i]
+            base = local_cache.get(i, _UNSEEN)
+            if base is _UNSEEN:
+                base = entry_cache.get(i, _UNSEEN)
+            if base is not _UNSEEN:
                 if base is None:
                     entries.append((E_CACHED_INV, None, None))
                     if db is not None:
@@ -909,8 +936,8 @@ class Measurer:
                         outlier_n[i] = a + 1
                         outlier_jobs.append((p, i, a))
                 continue
-            # Fresh: a first probe (faults) or a plain evaluation (drift
-            # only) — either way the schedule codes drive the commit scan.
+            # Fresh: a first probe (faults) or a plain evaluation —
+            # either way the schedule codes drive the commit scan.
             if faults is not None:
                 sched = scheds_by_index.pop(i, None)
                 if sched is None:
@@ -934,22 +961,12 @@ class Measurer:
                     waves += w
                 consumed_b[i] = consumed_b.get(i, 0) + sched.b_rolls
                 consumed_l[i] = consumed_l.get(i, 0) + sched.l_rolls
-                used_scheds.append(sched)
             else:
-                sched = _ProbeSchedule()
-                stage = stage_of[i]
-                if stage == STAGE_OK_CODE:
-                    sched.events.append("ok")
-                    sched.outcome = "ok"
-                elif stage == STAGE_BUILD_CODE:
-                    sched.events.append("binv")
-                    sched.outcome = "invalid"
-                else:
-                    sched.events.append("linv")
-                    sched.outcome = "invalid"
+                sched = _PLAIN_SCHEDULES[stage_of[i]]
             entries.append((E_FRESH, sched, base_of[i]))
             if "reset" in sched.events:
                 local_cache.clear()
+                entry_cache = {}
             if sched.outcome == "ok":
                 local_cache[i] = base_of[i]
                 if sigma != 0.0:
@@ -968,14 +985,29 @@ class Measurer:
                 q_local.add(i)
 
         # -- phase 2: all noise in one RNG call, outliers in one peek -------
+        # Per-position noise factors: the probe draw of a fresh
+        # configuration, and the minimum over the best-of-``repeats``
+        # draws (the last ``repeats`` of each position's draws).  Rounding
+        # is monotone and times are positive, so ``t * min(f)`` equals
+        # ``min(t * f)`` bit for bit; a noise-free factor of 1.0 is exact.
+        counts = np.asarray(counts, dtype=np.int64)
         total_draws = int(counts.sum())
         rng_state = None
+        probe_f = np.ones(n)
+        best_f = np.ones(n)
         if total_draws:
             rng_state = model.rng.bit_generator.state
             factors = np.exp(sigma * model.rng.standard_normal(total_draws))
-        else:
-            factors = np.empty(0)
-        starts = np.cumsum(counts) - counts
+            starts = np.cumsum(counts) - counts
+            fresh_at = counts == 1 + repeats
+            probe_f[fresh_at] = factors[starts[fresh_at]]
+            drawn = counts > 0
+            m_starts = (starts + counts - repeats)[drawn]
+            best_f[drawn] = factors[
+                m_starts[:, None] + np.arange(repeats)
+            ].min(axis=1)
+        probe_f = probe_f.tolist()
+        best_f = best_f.tolist()
         outlier_hit_at: Dict[int, bool] = {}
         if outlier_jobs:
             khs = np.asarray(
@@ -1073,11 +1105,7 @@ class Measurer:
                 else:
                     t2 = base
                 r += t2 * repeats
-                if sigma != 0.0:
-                    s0 = int(starts[p])
-                    value = float((t2 * factors[s0:s0 + repeats]).min())
-                else:
-                    value = float(t2)
+                value = float(t2 * best_f[p])
                 if outlier_hit_at.get(p):
                     value = value * outlier_factor
                     inj_out += 1
@@ -1089,14 +1117,25 @@ class Measurer:
             spent0 = c + r + f_ + ry
             bi = 0
             for a_no, ev in enumerate(sched.events, start=1):
+                if ev == "ok":  # compile, then the probe launch
+                    c += compile_of[i]
+                    if drift is not None:
+                        t1 = base * drift_factor((c + r + f_ + ry) + idle, i)
+                    else:
+                        t1 = base
+                    r += t1 * probe_f[p]
+                    continue
+                if ev == "binv":
+                    f_ += FAILED_BUILD_COST_S
+                    continue
+                if ev == "linv":
+                    c += compile_of[i]
+                    f_ += FAILED_LAUNCH_COST_S
+                    continue
+                # An injected failure: charge it, then the budget decision.
                 if ev == "tb":
                     f_ += FAILED_BUILD_COST_S
                     inj_tb += 1
-                elif ev == "binv":
-                    f_ += FAILED_BUILD_COST_S
-                elif ev == "linv":
-                    c += compile_of[i]
-                    f_ += FAILED_LAUNCH_COST_S
                 elif ev == "reset":
                     c += compile_of[i]
                     f_ += reset_cost
@@ -1105,30 +1144,18 @@ class Measurer:
                     c += compile_of[i]
                     f_ += hang_w
                     inj_hang += 1
-                elif ev == "tl":
+                else:  # "tl"
                     c += compile_of[i]
                     f_ += FAILED_LAUNCH_COST_S
                     inj_tl += 1
-                else:  # "ok": compile, then the probe launch
-                    c += compile_of[i]
-                    if drift is not None:
-                        t1 = base * drift_factor((c + r + f_ + ry) + idle, i)
-                    else:
-                        t1 = base
-                    if sigma != 0.0:
-                        measured = float(t1 * factors[int(starts[p])])
-                    else:
-                        measured = t1
-                    r += measured
-                if ev in ("tb", "reset", "hang", "tl"):
-                    exceeded = (c + r + f_ + ry) - spent0 > policy.config_budget_s
-                    if exceeded != sched.broke[bi]:
-                        conflict = True
-                        break
-                    bi += 1
-                    if not exceeded and a_no < policy.max_attempts:
-                        ry += policy.backoff_s(a_no)
-                        st_retries += 1
+                exceeded = (c + r + f_ + ry) - spent0 > policy.config_budget_s
+                if exceeded != sched.broke[bi]:
+                    conflict = True
+                    break
+                bi += 1
+                if not exceeded and a_no < policy.max_attempts:
+                    ry += policy.backoff_s(a_no)
+                    st_retries += 1
             if conflict:
                 break
             if sched.outcome == "ok":
@@ -1138,11 +1165,7 @@ class Measurer:
                 else:
                     t2 = base
                 r += t2 * (repeats - 1)
-                if sigma != 0.0:
-                    s0 = int(starts[p]) + 1
-                    value = float((t2 * factors[s0:s0 + repeats]).min())
-                else:
-                    value = float(t2)
+                value = float(t2 * best_f[p])
                 if outlier_hit_at.get(p):
                     value = value * outlier_factor
                     inj_out += 1
@@ -1164,14 +1187,15 @@ class Measurer:
             # so the serial loop reproduces the batch from scratch.
             if rng_state is not None:
                 model.rng.bit_generator.state = rng_state
-            return self._measure_batch_resilient(idx, span)
+            return self._measure_batch_resilient(idx)
 
         # -- phase 4: commit -------------------------------------------------
         ledger.compile_s = float(c)
         ledger.run_s = float(r)
         ledger.failed_s = float(f_)
         ledger.retry_s = float(ry)
-        self._cache.clear()
+        if entry_cache is not self._cache:  # a device reset emptied it
+            self._cache.clear()
         self._cache.update(local_cache)
         self.quarantine |= q_local
         if faults is not None:
@@ -1206,213 +1230,11 @@ class Measurer:
         stats.n_quarantined += st_quar
         stats.n_waves += waves
         stats.elapsed_s += time.perf_counter() - t0
-
-        tracer = ctx.tracer
-        if tracer.enabled:
-            tracer.count("measure.requested", n)
-            tracer.count("fault.transient", n_transient)
-            tracer.count("fault.timeouts", inj_hang)
-            tracer.count("fault.retries", st_retries)
-            tracer.count("fault.quarantined", st_quar)
-            tracer.count("measure.waves", waves)
-            span.set(
-                n=n,
-                invalid=len(bad_idx),
-                quarantined=len(quarantined_idx),
-                transient=n_transient,
-                timeouts=inj_hang,
-                retries=st_retries,
-                waves=waves,
-            )
         return MeasurementSet(
             indices=np.asarray(ok_idx, dtype=np.int64),
             times_s=np.asarray(ok_times, dtype=np.float64),
             invalid_indices=np.asarray(bad_idx, dtype=np.int64),
             quarantined_indices=np.asarray(quarantined_idx, dtype=np.int64),
-        )
-
-    def _measure_batch(self, indices: Sequence[int], span) -> MeasurementSet:
-        t0 = time.perf_counter()
-        idx: List[int] = [int(i) for i in indices]
-        n = len(idx)
-        repeats = self.repeats
-        model = self.context.measurement
-        sigma = model.device.timing_noise_sigma
-        device = self.context.device.spec
-        kernel_name = self.spec.name
-        device_name = device.name
-        db = self.db
-
-        kinds = np.empty(n, dtype=np.int8)
-        true_vals = np.full(n, np.nan)
-        results = np.full(n, np.nan)
-        valid = np.zeros(n, dtype=bool)
-        src_pos = np.full(n, -1, dtype=np.int64)
-        fresh_list: List[int] = []
-        fresh_positions: List[int] = []
-        # index -> position of the occurrence a later duplicate would be
-        # served from.  With a DB attached that is any earlier measured
-        # position (its value is in the DB by the time the duplicate runs in
-        # the scalar loop); without one, only fresh occurrences matter
-        # (cache-served re-measures legitimately redraw noise every time).
-        pending: Dict[int, int] = {}
-
-        for p, i in enumerate(idx):
-            if db is not None and db.has(kernel_name, device_name, i):
-                kinds[p] = _DB
-                v = db.get(kernel_name, device_name, i)
-                if v is not None:
-                    results[p] = v
-                    valid[p] = True
-            elif i in pending:
-                kinds[p] = _DUP
-                src_pos[p] = pending[i]
-            elif i in self._cache:
-                kinds[p] = _CACHED
-                t = self._cache[i]
-                if t is not None:
-                    true_vals[p] = t
-                if db is not None:
-                    pending[i] = p
-            else:
-                kinds[p] = _FRESH
-                fresh_list.append(i)
-                fresh_positions.append(p)
-                pending[i] = p
-
-        # -- simulate all first-occurrence configs in one batch --------------
-        compile_c = np.zeros(n)
-        failed_c = np.zeros(n)
-        if fresh_list:
-            fresh_arr = np.asarray(fresh_list, dtype=np.int64)
-            fp = np.asarray(fresh_positions, dtype=np.int64)
-            tuples = self.spec.config_tuples(fresh_arr)
-            wb = self.spec.workload_batch(fresh_arr, device, config_tuples=tuples)
-            be = execute_batch(
-                wb, device, kernel_name=kernel_name, config_tuples=tuples
-            )
-            true_vals[fp] = be.times
-            build_bad = be.stages == STAGE_BUILD_CODE
-            ok = be.stages == STAGE_OK_CODE
-            failed_c[fp[build_bad]] = FAILED_BUILD_COST_S
-            failed_c[fp[~build_bad & ~ok]] = FAILED_LAUNCH_COST_S
-            compile_costs = device.compile_time_base_s + (
-                device.compile_time_per_unroll_s * (wb.unroll_factor - 1)
-            )
-            compile_c[fp[~build_bad]] = compile_costs[~build_bad]
-            for j, i in enumerate(fresh_list):
-                t = be.times[j]
-                self._cache[i] = float(t) if ok[j] else None
-
-        mask_fc = (kinds == _FRESH) | (kinds == _CACHED)
-        valid[mask_fc] = ~np.isnan(true_vals[mask_fc])
-        mask_dup = kinds == _DUP
-        dup_idx = np.nonzero(mask_dup)[0]
-        if dup_idx.size:
-            valid[dup_idx] = valid[src_pos[dup_idx]]
-            if db is None:
-                true_vals[dup_idx] = true_vals[src_pos[dup_idx]]
-
-        # -- one RNG call for every noise draw, in scalar-loop order ----------
-        # A zero-sigma device draws nothing at all (matching observe /
-        # observe_many, which skip the RNG entirely at sigma == 0), so the
-        # generator state is identical whichever path measured.
-        fresh_valid = (kinds == _FRESH) & valid
-        counts = np.zeros(n, dtype=np.int64)
-        if sigma != 0.0:
-            counts[fresh_valid] = 1 + repeats
-            counts[(kinds == _CACHED) & valid] = repeats
-            if db is None:
-                counts[mask_dup & valid] = repeats
-        total_draws = int(counts.sum())
-        if total_draws:
-            factors = np.exp(sigma * model.rng.standard_normal(total_draws))
-        else:
-            factors = np.empty(0)
-        starts = np.cumsum(counts) - counts
-
-        obs = np.zeros(n)
-        obs[fresh_valid] = true_vals[fresh_valid]
-        if sigma != 0.0:
-            obs[fresh_valid] *= factors[starts[fresh_valid]]
-            meas_mask = counts >= repeats  # positions that redraw best-of
-            if meas_mask.any():
-                # Measurement draws are the last `repeats` of each position.
-                m_starts = starts[meas_mask] + counts[meas_mask] - repeats
-                gathered = factors[m_starts[:, None] + np.arange(repeats)]
-                results[meas_mask] = (
-                    true_vals[meas_mask][:, None] * gathered
-                ).min(axis=1)
-        else:
-            # Noise-free: best-of-N of identical values is the true time.
-            meas_mask = fresh_valid | ((kinds == _CACHED) & valid)
-            if db is None:
-                meas_mask = meas_mask | (mask_dup & valid)
-            results[meas_mask] = true_vals[meas_mask]
-        if db is not None and dup_idx.size:
-            results[dup_idx] = results[src_pos[dup_idx]]
-
-        # -- ledger, accumulated in input order --------------------------------
-        run_c = np.zeros((n, 2))
-        run_c[fresh_valid, 0] = obs[fresh_valid]
-        run_c[fresh_valid, 1] = true_vals[fresh_valid] * (repeats - 1)
-        recharged = (kinds == _CACHED) & valid
-        if db is None:
-            recharged = recharged | (mask_dup & valid)
-        run_c[recharged, 1] = true_vals[recharged] * repeats
-        ledger = self.context.ledger
-        ledger.compile_s = _sequential_sum(ledger.compile_s, compile_c)
-        ledger.run_s = _sequential_sum(ledger.run_s, run_c.ravel())
-        ledger.failed_s = _sequential_sum(ledger.failed_s, failed_c)
-
-        # -- write-through + stats --------------------------------------------
-        if db is not None and pending:
-            items = {
-                i: (float(results[p]) if valid[p] else None)
-                for i, p in pending.items()
-            }
-            db.put_many(kernel_name, device_name, items)
-
-        stats = self.stats
-        stats.n_requested += n
-        stats.n_simulated += len(fresh_list)
-        n_dup = int(dup_idx.size)
-        n_db = int(np.count_nonzero(kinds == _DB))
-        if db is None:
-            n_cached = int(np.count_nonzero(kinds == _CACHED)) + n_dup
-            n_db_served = n_db
-        else:
-            n_cached = int(np.count_nonzero(kinds == _CACHED))
-            n_db_served = n_db + n_dup
-        stats.n_cache_hits += n_cached
-        stats.n_db_hits += n_db_served
-        n_bad = int(np.count_nonzero(~valid))
-        stats.n_invalid += n_bad
-        stats.elapsed_s += time.perf_counter() - t0
-
-        # Fold the engine counters into the trace (aggregate per batch —
-        # never per configuration, so a disabled tracer costs a handful of
-        # no-op calls for the whole sweep).
-        tracer = self.context.tracer
-        if tracer.enabled:
-            tracer.count("measure.requested", n)
-            tracer.count("measure.simulated", len(fresh_list))
-            tracer.count("measure.cache_hits", n_cached)
-            tracer.count("measure.db_hits", n_db_served)
-            tracer.count("measure.invalid", n_bad)
-            span.set(
-                n=n,
-                simulated=len(fresh_list),
-                cache_hits=n_cached,
-                db_hits=n_db_served,
-                invalid=n_bad,
-            )
-
-        idx_arr = np.asarray(idx, dtype=np.int64)
-        return MeasurementSet(
-            indices=idx_arr[valid],
-            times_s=results[valid],
-            invalid_indices=idx_arr[~valid],
         )
 
     def sample_and_measure(

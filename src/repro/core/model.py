@@ -69,16 +69,11 @@ class PerformanceModel:
         :class:`~repro.core.sweep.SweepSettings` for whole-space
         prediction sweeps (chunking, float32 lane, process sharding;
         ``enabled=False`` forces the chunked reference path).
-    fit_mode:
-        Training engine for the default ensemble: ``"adaptive"``
-        (member-wise convergence freezing, the default) or
-        ``"classic"`` (the original global-stop loop).  Ignored for
-        custom model families.
     freeze_patience / freeze_tol:
-        Optional overrides for the adaptive engine's per-member freeze
+        Optional overrides for the default ensemble's per-member freeze
         thresholds (``None`` keeps the ensemble defaults;
-        ``freeze_patience=math.inf`` disables freezing entirely, which
-        is bit-identical to ``"classic"``).
+        ``freeze_patience=math.inf`` disables freezing entirely).
+        Ignored for custom model families.
     """
 
     def __init__(
@@ -90,23 +85,17 @@ class PerformanceModel:
         log_transform: bool = True,
         tracer=None,
         sweep: Optional[SweepSettings] = None,
-        fit_mode: str = "adaptive",
         freeze_patience: Optional[float] = None,
         freeze_tol: Optional[float] = None,
     ):
         if k < 1:
             raise ValueError("k must be >= 1")
-        if fit_mode not in ("adaptive", "classic"):
-            raise ValueError(
-                f"fit_mode must be 'adaptive' or 'classic', got {fit_mode!r}"
-            )
         self.space = space
         self.encoder = ConfigEncoder(space)
         self.k = k
         self.seed = seed
         self.log_transform = log_transform
         self.sweep = sweep if sweep is not None else SweepSettings()
-        self.fit_mode = fit_mode
         self.freeze_patience = freeze_patience
         self.freeze_tol = freeze_tol
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -162,12 +151,10 @@ class PerformanceModel:
                 self._model = EnsembleMLPRegressor(
                     k=self.k,
                     seed=self.seed,
-                    fit_mode=self.fit_mode,
                     freeze_patience=self.freeze_patience,
                     freeze_tol=self.freeze_tol,
                 )
                 self._model.tracer = self.tracer
-            self._model.fit_mode = self.fit_mode
             self._model.freeze_patience = self.freeze_patience
             self._model.freeze_tol = self.freeze_tol
             self._model.fit(X, y, warm_start=reuse)

@@ -223,8 +223,9 @@ class OnlineTuner:
             # off the re-measure window).  Unless the caller explicitly
             # chose freeze thresholds, pin the whole online chain —
             # initial tune and refits — to the reference-quality loop
-            # (``freeze_patience=inf`` is bit-identical to classic); warm
-            # round-two refits provide the online-path speedup instead.
+            # (``freeze_patience=inf``: every member trains until the
+            # mean loss plateaus); warm round-two refits provide the
+            # online-path speedup instead.
             tune_settings = replace(tune_settings, freeze_patience=math.inf)
         self.tune_settings = tune_settings
         self.measurer = measurer or Measurer(

@@ -60,16 +60,12 @@ class TunerSettings:
         measurement gathered so far is returned as a ``degraded`` result
         (reason ``budget_exhausted``).  This is the mechanism the
         ``repro.serve`` daemon uses to enforce per-client budgets.
-    fit_mode:
-        Ensemble training engine: ``"adaptive"`` (member-wise
-        convergence freezing, the default) or ``"classic"`` (the
-        original global-stop loop, kept as the reference baseline —
-        see ``benchmarks/test_perf_fit.py``).
     freeze_patience / freeze_tol:
-        Optional adaptive-engine freeze-threshold overrides forwarded
-        to the ensemble (``None`` keeps its defaults;
-        ``freeze_patience=math.inf`` disables freezing, which is
-        bit-identical to ``fit_mode="classic"``).
+        Optional member-freeze threshold overrides forwarded to the
+        ensemble (``None`` keeps its defaults; ``freeze_patience=math.inf``
+        disables freezing, so every member trains until the mean loss
+        plateaus — the baseline ``benchmarks/test_perf_fit.py`` gates
+        the default against).
     """
 
     n_train: int = 2000
@@ -81,7 +77,6 @@ class TunerSettings:
     replenish_rounds: int = 4
     sweep: SweepSettings = field(default_factory=SweepSettings)
     max_cost_s: Optional[float] = None
-    fit_mode: str = "adaptive"
     freeze_patience: Optional[float] = None
     freeze_tol: Optional[float] = None
 
@@ -94,10 +89,6 @@ class TunerSettings:
             raise ValueError("replenish_rounds must be >= 0")
         if self.max_cost_s is not None and self.max_cost_s <= 0:
             raise ValueError("max_cost_s must be positive (or None)")
-        if self.fit_mode not in ("adaptive", "classic"):
-            raise ValueError(
-                f"fit_mode must be 'adaptive' or 'classic', got {self.fit_mode!r}"
-            )
 
 
 class MLAutoTuner:
@@ -194,7 +185,6 @@ class MLAutoTuner:
             seed=seed,
             tracer=self.context.tracer,
             sweep=self.settings.sweep,
-            fit_mode=self.settings.fit_mode,
             freeze_patience=self.settings.freeze_patience,
             freeze_tol=self.settings.freeze_tol,
         )

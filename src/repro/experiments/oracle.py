@@ -25,6 +25,7 @@ import numpy as np
 from repro.kernels.base import KernelSpec
 from repro.simulator.device import DeviceSpec
 from repro.simulator.executor import execute_batch, simulate_kernel_time
+from repro.simulator.hashing import splitmix64, unit_open_of
 from repro.simulator.validity import validate
 
 #: Chunk size for vectorized true-time sweeps.
@@ -50,17 +51,6 @@ _MIX_A = _U64(0xBF58476D1CE4E5B9)
 _MIX_B = _U64(0x94D049BB133111EB)
 
 
-def _splitmix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _U64(30))) * _MIX_A
-    z = (z ^ (z >> _U64(27))) * _MIX_B
-    return z ^ (z >> _U64(31))
-
-
-def _unit_open(h: np.ndarray) -> np.ndarray:
-    """uint64 hash -> float64 uniform on the *open* interval (0, 1)."""
-    return ((h >> _U64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
-
-
 def keyed_standard_normal(
     call_key: int, indices: np.ndarray, repeats: int
 ) -> np.ndarray:
@@ -72,9 +62,9 @@ def keyed_standard_normal(
     idx = np.asarray(indices, dtype=np.int64).astype(np.uint64)
     key = _U64(int(call_key) & 0xFFFFFFFFFFFFFFFF)
     lanes = (np.arange(repeats, dtype=np.uint64) + _U64(1)) * _GAMMA
-    seed = _splitmix64(_splitmix64(idx ^ key)[None, :] ^ lanes[:, None])
-    u1 = _unit_open(_splitmix64(seed ^ _MIX_A))
-    u2 = _unit_open(_splitmix64(seed ^ _MIX_B))
+    seed = splitmix64(splitmix64(idx ^ key)[None, :] ^ lanes[:, None])
+    u1 = unit_open_of(splitmix64(seed ^ _MIX_A))
+    u2 = unit_open_of(splitmix64(seed ^ _MIX_B))
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 

@@ -9,23 +9,18 @@ Membership of a sample in a member's training set becomes a per-member
 sample *weight* in the loss (1/|fold kept| or 0), which preserves exact
 leave-one-fold-out semantics.
 
-Two training engines share that tensor layout:
-
-* ``fit_mode="adaptive"`` (the default) adds **member-wise early
-  stopping with active-set compaction**: each member's loss is tracked
-  separately, and a member whose own loss has plateaued for
-  ``freeze_patience`` epochs is *frozen* — its weights are written back
-  and its rows are physically removed from the ``(k, n, h)``
-  forward/backward tensors and the Adam state, so the per-epoch cost
-  shrinks as members finish instead of every member paying until the
-  slowest one converges.  With freezing disabled
-  (``freeze_patience=math.inf``) the adaptive loop is bit-identical to
-  classic — same weights, same loss curve, same RNG draws — which is the
-  property suite's anchor (``tests/test_ml_adaptive.py``).
-* ``fit_mode="classic"`` keeps the original global-stop loop (all k
-  members train until the *mean* loss plateaus) as the reference
-  baseline the adaptive engine is gated against
-  (``benchmarks/test_perf_fit.py``).
+One training loop runs on that layout.  It stops globally when the
+*mean* member loss plateaus, and adds **member-wise early stopping with
+active-set compaction**: each member's loss is tracked separately, and a
+member whose own loss has plateaued for ``freeze_patience`` epochs is
+*frozen* — its weights are written back and its rows are physically
+removed from the ``(k, n, h)`` forward/backward tensors and the Adam
+state, so the per-epoch cost shrinks as members finish instead of every
+member paying until the slowest one converges.  With freezing disabled
+(``freeze_patience=math.inf``) it is the plain global-stop loop — every
+member trains every epoch — bit for bit; ``tests/test_ml_adaptive.py``
+pins that against a reference copy of the global-stop loop, and
+``benchmarks/test_perf_fit.py`` gates the default's speed-up against it.
 
 ``fit(..., warm_start=True)`` additionally reuses the previous weights
 (scaler statistics are refreshed from the new data, Adam state restarts)
@@ -95,19 +90,14 @@ class EnsembleMLPRegressor:
         Full-batch Adam hyperparameters, mirroring ``MLPRegressor``.
     seed:
         Controls fold assignment and all weight initialization.
-    fit_mode:
-        ``"adaptive"`` (default) freezes and compacts members as they
-        converge individually; ``"classic"`` is the original loop where
-        every member trains until the *mean* loss plateaus.
     freeze_patience:
-        Adaptive mode only: epochs a member's own loss may go without a
-        relative improvement of ``freeze_tol`` before it is frozen.
-        ``None`` derives a quarter of ``patience``; ``math.inf``
-        disables freezing entirely (the bit-identity-with-classic
-        mode).
+        Epochs a member's own loss may go without a relative improvement
+        of ``freeze_tol`` before it is frozen.  ``None`` derives a
+        quarter of ``patience``; ``math.inf`` disables freezing entirely
+        (every member trains until the *mean* loss plateaus).
     freeze_tol:
-        Adaptive mode only: per-member relative-improvement threshold.
-        ``None`` derives 100x ``tol``.
+        Per-member relative-improvement threshold.  ``None`` derives
+        100x ``tol``.
     """
 
     def __init__(
@@ -121,7 +111,6 @@ class EnsembleMLPRegressor:
         patience: int = 120,
         l2: float = 1e-5,
         seed: Optional[int] = None,
-        fit_mode: str = "adaptive",
         freeze_patience: Optional[float] = None,
         freeze_tol: Optional[float] = None,
     ):
@@ -131,10 +120,6 @@ class EnsembleMLPRegressor:
             raise ValueError("hidden must be >= 1")
         if epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if fit_mode not in ("adaptive", "classic"):
-            raise ValueError(
-                f"fit_mode must be 'adaptive' or 'classic', got {fit_mode!r}"
-            )
         if freeze_patience is not None and not freeze_patience > 0:
             raise ValueError("freeze_patience must be positive (or None)")
         if freeze_tol is not None and freeze_tol < 0:
@@ -148,7 +133,6 @@ class EnsembleMLPRegressor:
         self.patience = patience
         self.l2 = l2
         self.seed = seed
-        self.fit_mode = fit_mode
         self.freeze_patience = freeze_patience
         self.freeze_tol = freeze_tol
         self._params: list[np.ndarray] | None = None
@@ -158,7 +142,7 @@ class EnsembleMLPRegressor:
         #: Per-member epoch counts from the last fit: a frozen member
         #: stops accruing at its freeze epoch, so
         #: ``member_epochs_.sum()`` is the actual training work done
-        #: (classic mode: every entry equals ``len(loss_curve_)``).
+        #: (freezing off: every entry equals ``len(loss_curve_)``).
         self.member_epochs_: np.ndarray = np.zeros(0, dtype=np.int64)
         self.n_frozen_: int = 0
         self.stop_reason_: Optional[str] = None
@@ -199,7 +183,7 @@ class EnsembleMLPRegressor:
 
     @property
     def _freeze_patience(self) -> float:
-        """Effective member-freeze patience (adaptive mode).
+        """Effective member-freeze patience.
 
         ``None`` derives a quarter of the global ``patience`` (floor
         10): the member criterion watches a single curve, not a k-way
@@ -300,13 +284,10 @@ class EnsembleMLPRegressor:
             k=self.k,
             hidden=self.hidden,
             n_samples=n,
-            mode=self.fit_mode,
+            freeze_patience=self._freeze_patience,
             warm_start=warm,
         ) as span:
-            if self.fit_mode == "classic":
-                stop_reason, best = self._train_classic(Xs, ys, weights)
-            else:
-                stop_reason, best = self._train_adaptive(Xs, ys, weights)
+            stop_reason, best = self._train(Xs, ys, weights)
             self.stop_reason_ = stop_reason
             span.set(
                 epochs_run=len(self.loss_curve_),
@@ -338,7 +319,7 @@ class EnsembleMLPRegressor:
         Returns ``(member_loss, grads)`` where ``member_loss`` is the
         per-member weighted MSE (float32, one entry per row of the
         stack) and ``grads`` aligns with ``[W1, b1, W2, b2]``.  The
-        member axis may be any size — the adaptive engine calls this
+        member axis may be any size — the training loop calls this
         with compacted stacks — but the ``1/self.k`` member-average
         factor is always the *full* ensemble size, so gradients of the
         surviving members are unchanged by compaction.
@@ -362,51 +343,19 @@ class EnsembleMLPRegressor:
             grads[2] = grads[2] + 2.0 * self.l2 * W2
         return member_loss, grads
 
-    def _train_classic(self, Xs, ys, weights):
-        """Original loop: all k members until the mean loss plateaus."""
-        ms = [np.zeros_like(p) for p in self._params]
-        vs = [np.zeros_like(p) for p in self._params]
-        best = np.inf
-        stale = 0
-        for step in range(1, self.epochs + 1):
-            W1, b1, W2, b2 = self._params
-            member_loss, grads = self._backward(Xs, ys, weights, W1, b1, W2, b2)
-            # Weighted MSE per member, averaged over members.
-            loss = float(np.mean(member_loss))
-            self.loss_curve_.append(loss)
+    def _train(self, Xs, ys, weights):
+        """Global-stop training with member-wise freezing and active-set
+        compaction.
 
-            adam_step(
-                self._params, grads, ms, vs, step,
-                self.lr, _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS,
-            )
-
-            if loss < best * (1.0 - self.tol):
-                best = loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= self.patience:
-                    break
-        stop_reason = "early_stop" if stale >= self.patience else "max_epochs"
-        self.member_epochs_ = np.full(
-            self.k, len(self.loss_curve_), dtype=np.int64
-        )
-        self.n_frozen_ = 0
-        return stop_reason, best
-
-    def _train_adaptive(self, Xs, ys, weights):
-        """Member-wise freezing with active-set compaction.
-
-        Keeps the classic global stopping criterion on the mean loss
+        Stops when the mean member loss plateaus for ``patience`` epochs
         (frozen members contribute their final loss to the mean, so the
-        curve and the stop decision stay comparable), but additionally
+        curve and the stop decision stay comparable), and additionally
         freezes any member whose own loss has been stale for
         ``_freeze_patience`` epochs and *physically removes* its rows
         from the parameter/Adam/weight stacks — the per-epoch cost
         shrinks as members finish.  With ``freeze_patience=math.inf``
         nothing ever freezes, the stacks are never copied, and every
-        floating-point operation matches :meth:`_train_classic`
-        bit-for-bit.
+        floating-point operation is that of the plain global-stop loop.
         """
         out = self._params  # full-size (k, ...) arrays we hand back
         k = self.k
@@ -422,7 +371,8 @@ class EnsembleMLPRegressor:
         m_stale = np.zeros(k, dtype=np.int64)
         m_epochs = np.zeros(k, dtype=np.int64)
         # Frozen members keep contributing their final loss to the mean;
-        # float32 so the mean matches classic's float32 reduction exactly.
+        # float32 so the mean is the same float32 reduction as over the
+        # live member losses.
         all_loss = np.zeros(k, dtype=np.float32)
         best = np.inf
         stale = 0
@@ -451,8 +401,8 @@ class EnsembleMLPRegressor:
                     break
 
             # Per-member convergence bookkeeping (never feeds back into
-            # the numerics above — bit-identity with classic holds as
-            # long as no member actually freezes).
+            # the numerics above — the loop is the plain global-stop loop
+            # as long as no member actually freezes).
             m_epochs[active] = step
             a_best = m_best[active]
             imp = member_loss < a_best * (1.0 - freeze_tol)

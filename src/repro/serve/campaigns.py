@@ -89,7 +89,6 @@ def run_campaign(
             n_train=key.n_train,
             m_candidates=key.m_candidates,
             max_cost_s=key.budget_s,
-            fit_mode=key.fit_mode,
         )
         measurer = Measurer(
             ctx, spec, repeats=settings.repeats, batcher=batcher

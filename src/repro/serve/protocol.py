@@ -63,7 +63,6 @@ TUNE_DEFAULTS: Dict[str, Any] = {
     "seed": 0,
     "budget_s": None,
     "faults": None,
-    "fit_mode": "adaptive",
     "strategy": "ml",
     "stream": False,
 }
@@ -153,10 +152,6 @@ def validate_tune(req: Mapping[str, Any]) -> Dict[str, Any]:
         if not isinstance(req["faults"], str):
             raise ProtocolError("'faults' must be a profile spec string")
         out["faults"] = req["faults"]
-    if "fit_mode" in req and req["fit_mode"] is not None:
-        if req["fit_mode"] not in ("adaptive", "classic"):
-            raise ProtocolError("'fit_mode' must be 'adaptive' or 'classic'")
-        out["fit_mode"] = req["fit_mode"]
     if "strategy" in req and req["strategy"] is not None:
         from repro.core.strategies import STRATEGY_CHOICES
 

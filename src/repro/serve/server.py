@@ -338,7 +338,6 @@ class TuningServer:
             seed=spec_req["seed"],
             budget_s=budget,
             faults=spec_req["faults"],
-            fit_mode=spec_req["fit_mode"],
             strategy=spec_req["strategy"],
         )
         pending = _Connection.Pending(
@@ -575,7 +574,6 @@ class TuningServer:
             "seed": key.seed,
             "budget_s": key.budget_s,
             "faults": key.faults,
-            "fit_mode": key.fit_mode,
             "strategy": key.strategy,
         }
 
@@ -606,17 +604,11 @@ class TuningServer:
             raise protocol.ProtocolError(
                 "predict request needs a 'config' object of name: value"
             )
-        fit_mode = req.get("fit_mode", protocol.TUNE_DEFAULTS["fit_mode"])
-        if fit_mode not in ("adaptive", "classic"):
-            raise protocol.ProtocolError(
-                "'fit_mode' must be 'adaptive' or 'classic'"
-            )
         model_key = (
             req["kernel"],
             req["device"],
             int(req.get("n_train", protocol.TUNE_DEFAULTS["n_train"])),
             int(req.get("seed", protocol.TUNE_DEFAULTS["seed"])),
-            fit_mode,
         )
         model = self.models.get(model_key)
         if model is None:
@@ -625,7 +617,7 @@ class TuningServer:
                     "error",
                     req_id,
                     error="no model cached for this (kernel, device, "
-                    "n_train, seed, fit_mode); run a tune first",
+                    "n_train, seed); run a tune first",
                 )
             )
             return

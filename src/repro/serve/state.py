@@ -49,17 +49,11 @@ class CampaignKey:
     seed: int
     budget_s: Optional[float] = None
     faults: Optional[str] = None
-    fit_mode: str = "adaptive"
     strategy: str = "ml"
 
-    def model_key(self) -> Tuple[str, str, int, int, str]:
-        """What determines the fitted stage-one model (see ModelCache).
-
-        ``fit_mode`` is part of the identity: adaptive and classic fits
-        of the same training set produce different weights, so they must
-        not alias one cache slot.
-        """
-        return (self.kernel, self.device, self.n_train, self.seed, self.fit_mode)
+    def model_key(self) -> Tuple[str, str, int, int]:
+        """What determines the fitted stage-one model (see ModelCache)."""
+        return (self.kernel, self.device, self.n_train, self.seed)
 
 
 @dataclass(frozen=True)

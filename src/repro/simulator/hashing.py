@@ -275,7 +275,8 @@ def pair_key_prefix64(first) -> int:
     return fold64(fold64(_TUPLE_SEED, 2), part64(first))
 
 
-def _unit_open_of(h: np.ndarray) -> np.ndarray:
+def unit_open_of(h: np.ndarray) -> np.ndarray:
+    """uint64 hash -> float64 uniform on the *open* interval (0, 1)."""
     return ((h >> _U64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
@@ -286,7 +287,7 @@ def keyed_uniform(h: int) -> float:
 
 def keyed_uniform_many(h: np.ndarray) -> np.ndarray:
     """Vector :func:`keyed_uniform`, bit-equal per lane."""
-    return _unit_open_of(splitmix64(h ^ _U64(_SALT_UNIFORM)))
+    return unit_open_of(splitmix64(h ^ _U64(_SALT_UNIFORM)))
 
 
 def keyed_normal(h: int) -> float:
@@ -305,8 +306,8 @@ def keyed_normal(h: int) -> float:
 
 def keyed_normal_many(h: np.ndarray) -> np.ndarray:
     """Vector :func:`keyed_normal`, bit-equal per lane."""
-    u1 = _unit_open_of(splitmix64(h ^ _U64(_SALT_N1)))
-    u2 = _unit_open_of(splitmix64(h ^ _U64(_SALT_N2)))
+    u1 = unit_open_of(splitmix64(h ^ _U64(_SALT_N1)))
+    u2 = unit_open_of(splitmix64(h ^ _U64(_SALT_N2)))
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     return np.clip(z, -4.0, 4.0)
 

@@ -219,6 +219,39 @@ class TestEngineStats:
         assert 0.0 < s.cache_hit_rate <= 1.0
         assert s.configs_per_sec > 0
 
+    @pytest.mark.parametrize("with_db", [False, True])
+    def test_fault_free_batches_count_no_waves(self, with_db):
+        # Without faults or drift the engine resolves every configuration
+        # in one pass and counts no waves, so the rendered engine-stats
+        # block has no waves line.  The expected blocks were recorded
+        # from the dedicated fault-free engine the wave engine replaced.
+        from repro.experiments.reporting import engine_stats_block
+
+        spec = make_spec(ConvolutionKernel)
+        ctx = Context(NVIDIA_K40, seed=3)
+        m = Measurer(ctx, spec, db=MeasurementDB() if with_db else None)
+        idx = spec.space.sample_indices(200, np.random.default_rng(3))
+        m.measure_batch(idx)
+        m.measure_batch(idx[:50])
+        m.measure_batch(np.concatenate([idx[:20], idx[:20]]))
+        assert m.stats.n_waves == 0
+        m.stats.elapsed_s = 1.0  # pin the wall-clock throughput line
+        hits, run_s, total_s = (
+            ("cache hits     : 0\ndb hits        : 90", "1.0", "187.4")
+            if with_db
+            else ("cache hits     : 90\ndb hits        : 0", "1.5", "187.8")
+        )
+        assert engine_stats_block(m.stats, ctx.ledger) == (
+            "measurements   : 290\n"
+            "simulated      : 200\n"
+            f"{hits}\n"
+            "invalid        : 121\n"
+            "cache hit rate : 31.0%\n"
+            "throughput     : 290 configs/s\n"
+            f"simulated cost : {total_s} s "
+            f"(compile 156.1, run {run_s}, failed 30.3)"
+        )
+
     def test_merge_adds_counters(self):
         from repro.core.measure import EngineStats
 

@@ -100,6 +100,30 @@ class TestOracle:
         assert abs(float(z.mean())) < 0.02
         assert abs(float(z.std()) - 1.0) < 0.02
 
+    def test_keyed_normals_bit_pinned(self):
+        # Recorded before the oracle's splitmix64/unit-open helpers were
+        # routed through repro.simulator.hashing: any bit change in the
+        # shared hashing shows up here, which the moment test above
+        # would not catch.
+        from repro.experiments.oracle import keyed_standard_normal
+
+        z = keyed_standard_normal(42, np.arange(8), 3)
+        assert z.shape == (3, 8)
+        assert [[float.hex(float(v)) for v in row] for row in z] == [
+            ["0x1.360b8cf939b55p+0", "0x1.7863d0fa4d0a1p-2",
+             "0x1.1435f3d22ac1fp-2", "0x1.69fec06f8f2b1p+0",
+             "-0x1.16040005cbeecp-2", "-0x1.89dc5d02c8b35p+0",
+             "0x1.e7a79b0f5d774p+0", "0x1.f5378b0cb0b04p-1"],
+            ["0x1.d93d1fd0e2e0fp-2", "-0x1.9c7ba3dfa0173p-2",
+             "0x1.9092a9bbc96f9p-1", "0x1.445d2cd554794p-4",
+             "-0x1.3e6bc10ce2b9ep-2", "0x1.08badaca72aa1p-2",
+             "0x1.6a6a4f5f1cefep+0", "-0x1.20904de2d02d7p+0"],
+            ["0x1.26ad16f5a96c1p-6", "0x1.e67f29ac98356p+0",
+             "-0x1.3d34c8531cdcbp+0", "0x1.b817bafcf155cp-1",
+             "0x1.18c19dcbd4d52p-1", "0x1.63b9b0c707d60p-1",
+             "-0x1.04671d2460459p-1", "-0x1.3fe0499c82236p+0"],
+        ]
+
     def test_times_for_caches_vectorized(self, monkeypatch):
         oracle = TrueTimeOracle(ConvolutionKernel(), NVIDIA_K40)
         calls = []

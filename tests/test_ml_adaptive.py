@@ -1,21 +1,26 @@
-"""Adaptive training engine: freeze-never bit-identity, warm starts,
+"""Ensemble training loop: freeze-never bit-identity, warm starts,
 the shared Adam stepper, and loss-curve trace downsampling.
 
 The contract pinned here is the one ``benchmarks/test_perf_fit.py``
-builds on: ``fit_mode="adaptive"`` with freezing disabled
-(``freeze_patience=math.inf``) is *bit-identical* to the classic
+builds on: the training loop with freezing disabled
+(``freeze_patience=math.inf``) is *bit-identical* to the plain
 global-stop loop — same weights, same loss curve, same RNG consumption —
 so member-wise freezing is purely an opt-out approximation layered on a
-semantics-preserving engine.
+semantics-preserving loop.  The global-stop loop lives on here, and only
+here, as :func:`classic_train`: the oracle of that property.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 
 from repro.ml.bagging import BaggedRegressor
 from repro.ml.ensemble import (
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_EPS,
     LOSS_CURVE_TRACE_POINTS,
     EnsembleMLPRegressor,
     _curve_trace_indices,
@@ -24,6 +29,46 @@ from repro.ml.mlp import MLPRegressor
 from repro.ml.optimizers import Adam, adam_step
 
 pytestmark = pytest.mark.ml
+
+
+def classic_train(self, Xs, ys, weights):
+    """Reference global-stop loop: all k members train every epoch until
+    the *mean* loss plateaus.  A drop-in for
+    ``EnsembleMLPRegressor._train`` (same signature and return value)."""
+    ms = [np.zeros_like(p) for p in self._params]
+    vs = [np.zeros_like(p) for p in self._params]
+    best = np.inf
+    stale = 0
+    for step in range(1, self.epochs + 1):
+        W1, b1, W2, b2 = self._params
+        member_loss, grads = self._backward(Xs, ys, weights, W1, b1, W2, b2)
+        # Weighted MSE per member, averaged over members.
+        loss = float(np.mean(member_loss))
+        self.loss_curve_.append(loss)
+
+        adam_step(
+            self._params, grads, ms, vs, step,
+            self.lr, _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS,
+        )
+
+        if loss < best * (1.0 - self.tol):
+            best = loss
+            stale = 0
+        else:
+            stale += 1
+            if stale >= self.patience:
+                break
+    stop_reason = "early_stop" if stale >= self.patience else "max_epochs"
+    self.member_epochs_ = np.full(self.k, len(self.loss_curve_), dtype=np.int64)
+    self.n_frozen_ = 0
+    return stop_reason, best
+
+
+def classic_ensemble(**kwargs) -> EnsembleMLPRegressor:
+    """An ensemble whose fits run :func:`classic_train`."""
+    model = EnsembleMLPRegressor(**kwargs)
+    model._train = types.MethodType(classic_train, model)
+    return model
 
 
 def make_data(n=120, d=4, seed=0):
@@ -49,20 +94,17 @@ def slow_data(n=300, d=6, seed=3):
 
 
 class TestFreezeNeverBitIdentity:
-    """20-seed property: the adaptive loop with freezing disabled is the
-    classic loop, bit for bit."""
+    """20-seed property: the training loop with freezing disabled is the
+    classic global-stop loop, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_bit_identical_to_classic(self, seed):
         X, y = make_data(n=90, d=4, seed=seed)
-        classic = EnsembleMLPRegressor(
-            k=5, epochs=120, seed=seed, fit_mode="classic"
-        ).fit(X, y)
+        classic = classic_ensemble(k=5, epochs=120, seed=seed).fit(X, y)
         adaptive = EnsembleMLPRegressor(
             k=5,
             epochs=120,
             seed=seed,
-            fit_mode="adaptive",
             freeze_patience=math.inf,
         ).fit(X, y)
 
@@ -248,7 +290,6 @@ class TestOnlineChainQuality:
         from repro.simulator import NVIDIA_K40
 
         online = OnlineTuner(Context(NVIDIA_K40, seed=0), get_benchmark("convolution"))
-        assert online.tune_settings.fit_mode == "adaptive"
         assert online.tune_settings.freeze_patience == math.inf
 
     def test_explicit_freeze_thresholds_respected(self):
@@ -268,10 +309,6 @@ class TestOnlineChainQuality:
 
 
 class TestValidation:
-    def test_bad_fit_mode(self):
-        with pytest.raises(ValueError, match="fit_mode"):
-            EnsembleMLPRegressor(fit_mode="turbo")
-
     def test_bad_freeze_patience(self):
         with pytest.raises(ValueError, match="freeze_patience"):
             EnsembleMLPRegressor(freeze_patience=0)
@@ -279,9 +316,3 @@ class TestValidation:
     def test_bad_freeze_tol(self):
         with pytest.raises(ValueError, match="freeze_tol"):
             EnsembleMLPRegressor(freeze_tol=-1.0)
-
-    def test_tuner_settings_fit_mode(self):
-        from repro.core.tuner import TunerSettings
-
-        with pytest.raises(ValueError, match="fit_mode"):
-            TunerSettings(fit_mode="turbo")

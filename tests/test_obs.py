@@ -231,7 +231,8 @@ class TestInstrumentedPipeline:
         attrs = fit_span["attrs"]
         assert attrs["stop_reason"] in ("early_stop", "max_epochs", "all_frozen")
         assert attrs["epochs_run"] >= 1
-        assert attrs["mode"] == "adaptive"
+        # The default member-freeze window: a quarter of the patience.
+        assert attrs["freeze_patience"] == 30.0
         assert 0 <= attrs["n_frozen"] <= attrs["k"]
         member_epochs = attrs["member_epochs"]
         assert len(member_epochs) == attrs["k"]

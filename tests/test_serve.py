@@ -50,6 +50,15 @@ class TestProtocol:
         assert out["n_train"] == protocol.TUNE_DEFAULTS["n_train"]
         assert out["budget_s"] is None and out["stream"] is False
 
+    def test_validate_tune_ignores_unknown_fields(self):
+        # Includes the retired "fit_mode": a client that still sends it
+        # gets the same canonical request, hence the same campaign key.
+        base = {"kernel": "k", "device": "d"}
+        for extra in ({"fit_mode": "classic"}, {"colour": "blue"}):
+            assert protocol.validate_tune({**base, **extra}) == (
+                protocol.validate_tune(base)
+            )
+
     def test_validate_tune_rejects_bad_fields(self):
         base = {"kernel": "k", "device": "d"}
         for patch in [

@@ -11,14 +11,16 @@ nothing fails.
 Values are compared through ``float.hex`` (no tolerance), the RNG through
 the PCG64 state word (any extra or missing draw shifts it).
 
-The tuner fixture runs with ``fit_mode="classic"`` — the training engine
-the recordings were made with; the adaptive engine's equivalence to it is
+The tuner and iterative fixtures train with member freezing off
+(``freeze_patience=math.inf``) — the global-stop loop the recordings were
+made with; that setting's bit-identity with the global-stop loop is
 pinned separately by ``tests/test_ml_adaptive.py``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -95,14 +97,16 @@ def test_tuner_pick_bit_identical(kernel):
     want = FIXTURES["kernels"][kernel]["tune"]
     spec = get_benchmark(kernel)
     ctx = Context(NVIDIA_K40, seed=7)
-    # fit_mode="classic": the fixtures anchor to the pre-PR trainer, and
-    # this gate pins the measurement/ledger/RNG machinery, not the model
-    # engine.  Adaptive-vs-classic training parity has its own anchor
-    # (tests/test_ml_adaptive.py, freeze-never bit-identity).
+    # Freezing off: the fixtures anchor to the pre-PR global-stop
+    # trainer, and this gate pins the measurement/ledger/RNG machinery,
+    # not member freezing.  Freeze-never training parity has its own
+    # anchor (tests/test_ml_adaptive.py).
     tuner = MLAutoTuner(
         ctx,
         spec,
-        TunerSettings(n_train=600, m_candidates=60, k_bag=11, fit_mode="classic"),
+        TunerSettings(
+            n_train=600, m_candidates=60, k_bag=11, freeze_patience=math.inf
+        ),
     )
     result = tuner.tune(np.random.default_rng(7), model_seed=7)
     assert result.best_index == want["best_index"]
@@ -129,7 +133,9 @@ def test_iterative_pick_bit_identical(kernel):
     tuner = IterativeTuner(
         ctx,
         spec,
-        IterativeSettings(total_budget=300, rounds=2, fit_mode="classic"),
+        IterativeSettings(
+            total_budget=300, rounds=2, freeze_patience=math.inf
+        ),
     )
     result = tuner.tune(np.random.default_rng(11), model_seed=11)
     assert result.best_index == want["best_index"]
