@@ -13,7 +13,6 @@ from pathlib import Path
 
 from repro.core.campaign import PortabilityCampaign
 from repro.core.results import MeasurementDB
-from repro.core.tuner import TunerSettings
 from repro.kernels import ConvolutionKernel
 
 
@@ -25,7 +24,7 @@ def main() -> None:
     campaign = PortabilityCampaign(
         spec,
         devices=("intel", "nvidia", "amd"),
-        settings=TunerSettings(n_train=600, m_candidates=60),
+        n_train=600, m_candidates=60,
         db=db,
     )
     print(f"tuning {spec.name} across 3 devices "

@@ -37,11 +37,13 @@ from repro.core import (
     SearchSettings,
     SearchTuner,
     TunerSettings,
+    TuneSpec,
     TuningResult,
     coordinate_descent,
     exhaustive_search,
     random_search,
     run_search,
+    run_tune,
 )
 from repro.obs import NULL_TRACER, Tracer, render_summary
 from repro.runtime import BuildError, Context, Device, LaunchError, Platform
@@ -57,6 +59,8 @@ __all__ = [
     "LaunchError",
     "MLAutoTuner",
     "TunerSettings",
+    "TuneSpec",
+    "run_tune",
     "TuningResult",
     "PerformanceModel",
     "CusumDetector",

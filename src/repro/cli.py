@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from repro import Context, MLAutoTuner, PerformanceModel, TunerSettings
+from repro import Context, PerformanceModel, TunerSettings, TuneSpec, run_tune
 from repro.core.iterative import IterativeSettings, IterativeTuner
 from repro.core.measure import Measurer
 from repro.kernels import BENCHMARKS, get_benchmark
@@ -122,59 +122,45 @@ def cmd_tune(args) -> int:
     from repro.experiments.reporting import engine_stats_block
     from repro.obs import NULL_TRACER, Tracer, run_manifest
 
-    from repro.core.strategies import SearchSettings, SearchTuner
-
-    spec = get_benchmark(args.kernel)
-    device = get_device(args.device)
-    rng = np.random.default_rng(args.seed)
-    strategy = getattr(args, "strategy", "ml")
-    if strategy != "ml" and args.iterative:
+    if args.strategy != "ml" and args.iterative:
         raise SystemExit("--strategy and --iterative are mutually exclusive")
+    # --iterative spends --budget over --rounds; -n/-m do not apply.
+    sizing = {} if args.iterative else dict(
+        n_train=args.n_train, m_candidates=args.m_candidates,
+        strategy=args.strategy,
+    )
+    try:
+        tune = TuneSpec(args.kernel, args.device, seed=args.seed,
+                        faults=args.faults or None, **sizing)
+    except ValueError as exc:
+        raise SystemExit(f"repro tune: {exc}") from None
+    spec = tune.kernel_spec()
+    manifest = dict(tune.as_dict(), iterative=bool(args.iterative),
+                    drift=args.drift)
     if args.iterative:
         settings = IterativeSettings(total_budget=args.budget, rounds=args.rounds)
-    elif strategy != "ml":
-        # Same measurement allowance as the two-stage tuner would get.
-        settings = SearchSettings(
-            budget=args.n_train + args.m_candidates,
-            pins=_parse_pins(args.pin, spec.space),
-        )
-    else:
-        settings = TunerSettings(
-            n_train=args.n_train,
-            m_candidates=args.m_candidates,
-        )
-    if args.trace:
-        tracer = Tracer(
-            Path(args.trace),
-            manifest=run_manifest(
-                command="tune",
-                kernel=args.kernel,
-                device=device.name,
-                settings=asdict(settings),
-                seed=args.seed,
-                iterative=bool(args.iterative),
-                strategy=strategy,
-                faults=args.faults,
-                drift=args.drift,
-            ),
-        )
-    else:
-        tracer = NULL_TRACER
-    faults = get_fault_profile(args.faults) if args.faults else None
-    ctx = Context(device, seed=args.seed, tracer=tracer, faults=faults,
-                  drift=args.drift)
+        manifest["settings"] = asdict(settings)
+    tracer = (
+        Tracer(Path(args.trace), manifest=run_manifest(command="tune", **manifest))
+        if args.trace
+        else NULL_TRACER
+    )
     db = MeasurementDB(Path(args.db)) if args.db else None
-    measurer = Measurer(ctx, spec, db=db) if db is not None else None
 
     try:
         if args.iterative:
+            ctx = Context(get_device(tune.device), seed=tune.seed,
+                          tracer=tracer, faults=tune.faults, drift=args.drift)
+            measurer = Measurer(ctx, spec, db=db) if db is not None else None
             tuner = IterativeTuner(ctx, spec, settings, measurer=measurer)
-        elif strategy != "ml":
-            tuner = SearchTuner(ctx, spec, strategy, settings,
-                                measurer=measurer)
+            result = tuner.tune(
+                np.random.default_rng(tune.seed), model_seed=tune.seed
+            )
         else:
-            tuner = MLAutoTuner(ctx, spec, settings, measurer=measurer)
-        result = tuner.tune(rng, model_seed=args.seed)
+            result, tuner = run_tune(
+                tune, tracer=tracer, db=db, drift=args.drift,
+                pins=_parse_pins(args.pin, spec.space),
+            )
     finally:
         tracer.close()
 
@@ -205,7 +191,7 @@ def cmd_tune(args) -> int:
     if outcome is not None and hasattr(outcome, "leaderboard"):
         print(_leaderboard_block(outcome))
     print("engine stats")
-    print(engine_stats_block(tuner.measurer.stats, ctx.ledger))
+    print(engine_stats_block(tuner.measurer.stats, tuner.context.ledger))
     return 0
 
 
@@ -378,7 +364,6 @@ def cmd_watch(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    from dataclasses import asdict
     from pathlib import Path
 
     from repro.core.campaign import run_campaign_grid
@@ -391,8 +376,6 @@ def cmd_campaign(args) -> int:
     for d in devices:
         get_device(d)  # fail fast on typos before forking workers
     db = MeasurementDB(Path(args.db)) if args.db else None
-    settings = TunerSettings(n_train=args.n_train, m_candidates=args.m_candidates)
-    faults = get_fault_profile(args.faults) if args.faults else None
     tracer = None
     if args.trace:
         tracer = Tracer(
@@ -401,7 +384,8 @@ def cmd_campaign(args) -> int:
                 command="campaign",
                 kernels=kernels,
                 devices=devices,
-                settings=asdict(settings),
+                n_train=args.n_train,
+                m_candidates=args.m_candidates,
                 seed=args.seed,
                 faults=args.faults,
                 strategy=args.strategy,
@@ -411,12 +395,13 @@ def cmd_campaign(args) -> int:
         report = run_campaign_grid(
             specs,
             devices,
-            settings=settings,
+            n_train=args.n_train,
+            m_candidates=args.m_candidates,
             db=db,
             max_workers=args.workers,
             seed=args.seed,
             tracer=tracer,
-            faults=faults,
+            faults=args.faults or None,
             strategy=args.strategy,
         )
     finally:
@@ -694,14 +679,15 @@ def build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser("tune", help="run the auto-tuner")
     tune.add_argument("-k", "--kernel", required=True, choices=sorted(BENCHMARKS))
     tune.add_argument("-d", "--device", required=True)
-    tune.add_argument("-n", "--n-train", type=int, default=1000)
-    tune.add_argument("-m", "--m-candidates", type=int, default=100)
+    tune.add_argument("-n", "--n-train", type=int, default=TuneSpec.n_train)
+    tune.add_argument("-m", "--m-candidates", type=int,
+                      default=TuneSpec.m_candidates)
     tune.add_argument("--iterative", action="store_true",
                       help="round-based refinement instead of one-shot")
     tune.add_argument("--budget", type=int, default=1200,
                       help="total measurements for --iterative")
     tune.add_argument("--rounds", type=int, default=3)
-    tune.add_argument("--seed", type=int, default=0)
+    tune.add_argument("--seed", type=int, default=TuneSpec.seed)
     tune.add_argument("--db", default=None,
                       help="path to a MeasurementDB JSON file; known "
                            "measurements are reused, new ones persisted")
@@ -718,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
                            f"{', '.join(sorted(DRIFT_PROFILES))}; "
                            "fields can be overridden as "
                            "'thermal-throttle:onset_s=600,ramp_s=120'")
-    tune.add_argument("--strategy", default="ml",
+    tune.add_argument("--strategy", default=TuneSpec.strategy,
                       choices=("ml",) + _strategy_choices(),
                       help="'ml' (the paper's two-stage ANN tuner, default) "
                            "or a search strategy / 'bandit' with the same "

@@ -35,6 +35,7 @@ from repro.core.online import (
     OnlineTuner,
     RetuneEvent,
 )
+from repro.core.recipe import TuneSpec, run_tune
 from repro.core.results import MeasurementDB, TuningResult
 from repro.core.sensitivity import interaction_strength, parameter_sensitivity
 from repro.core.search import (
@@ -82,6 +83,8 @@ __all__ = [
     "PerformanceModel",
     "MLAutoTuner",
     "TunerSettings",
+    "TuneSpec",
+    "run_tune",
     "TuningResult",
     "MeasurementDB",
     "exhaustive_search",

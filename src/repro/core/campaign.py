@@ -22,18 +22,15 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.measure import EngineStats, Measurer
+from repro.core.recipe import TuneSpec, run_tune
 from repro.core.results import MeasurementDB, TuningResult
-from repro.core.tuner import MLAutoTuner, TunerSettings
 from repro.kernels.base import KernelSpec
 from repro.obs import NULL_TRACER, Tracer, run_manifest
-from repro.runtime import Context
 from repro.simulator.devices import get_device
 from repro.simulator.noise import CostLedger
 
@@ -101,7 +98,7 @@ class PortabilityCampaign:
         The kernel to tune.
     devices:
         Device keys or names (``repro.simulator.devices.get_device``).
-    settings:
+    n_train, m_candidates:
         Tuner budget, shared across devices.
     db:
         Optional measurement store; every measurement of the campaign is
@@ -116,7 +113,8 @@ class PortabilityCampaign:
         self,
         spec: KernelSpec,
         devices: Sequence[str],
-        settings: Optional[TunerSettings] = None,
+        n_train: int = 800,
+        m_candidates: int = 80,
         db: Optional[MeasurementDB] = None,
         faults=None,
     ):
@@ -124,11 +122,8 @@ class PortabilityCampaign:
             raise ValueError("need at least one device")
         self.spec = spec
         self.devices = list(devices)
-        self.settings = (
-            settings
-            if settings is not None
-            else TunerSettings(n_train=800, m_candidates=80)
-        )
+        self.n_train = n_train
+        self.m_candidates = m_candidates
         self.db = db
         self.faults = faults
 
@@ -136,17 +131,15 @@ class PortabilityCampaign:
         results: Dict[str, TuningResult] = {}
         measurers: Dict[str, Measurer] = {}
         for key in self.devices:
-            device = get_device(key)
-            ctx = Context(device, seed=seed, faults=self.faults)
             # The measurer writes straight through to the campaign DB, so
             # every stage-one/stage-two measurement is durable and a
             # re-run against the same DB serves them back without cost.
-            measurer = Measurer(
-                ctx, self.spec, repeats=self.settings.repeats, db=self.db
+            tune = TuneSpec(
+                self.spec, key, n_train=self.n_train,
+                m_candidates=self.m_candidates, seed=seed, faults=self.faults,
             )
-            tuner = MLAutoTuner(ctx, self.spec, self.settings, measurer=measurer)
-            results[key] = tuner.tune(np.random.default_rng(seed), model_seed=seed)
-            measurers[key] = measurer
+            results[key], tuner = run_tune(tune, db=self.db)
+            measurers[key] = tuner.measurer
 
         matrix: Dict[str, Dict[str, Optional[float]]] = {}
         for target in self.devices:
@@ -244,55 +237,33 @@ class GridReport:
 def _run_grid_cell(payload) -> tuple:
     """Worker for one grid cell; module-level so process pools can pickle it.
 
-    Builds a fresh context + DB-shard-backed measurer, tunes, saves the
-    shard, and returns (result, stats, ledger) — everything the parent
-    needs, nothing process-bound.  When a trace path is given the worker
-    writes its own JSONL trace there (processes cannot share a sink); the
-    parent merges the per-worker files afterwards.
+    ``payload`` is ``(TuneSpec, shard_path, trace_path)``.  Tunes against
+    a DB-shard-backed measurer, saves the shard, and returns (result,
+    stats, ledger) — everything the parent needs, nothing process-bound.
+    When a trace path is given the worker writes its own JSONL trace
+    there (processes cannot share a sink); the parent merges the
+    per-worker files afterwards.
     """
-    (spec, device_key, settings, seed, shard_path, trace_path, faults,
-     strategy) = payload
-    device = get_device(device_key)
-    shard = MeasurementDB(Path(shard_path)) if shard_path else MeasurementDB()
-    if trace_path:
-        tracer = Tracer(
-            trace_path,
-            manifest=run_manifest(
-                kernel=spec.name,
-                device=device.name,
-                settings=asdict(settings),
-                seed=seed,
-                strategy=strategy,
-            ),
-        )
-    else:
-        tracer = NULL_TRACER
-    ctx = Context(device, seed=seed, tracer=tracer, faults=faults)
-    measurer = Measurer(ctx, spec, repeats=settings.repeats, db=shard)
-    if strategy != "ml":
-        from repro.core.strategies import SearchSettings, SearchTuner
-
-        search_settings = SearchSettings(
-            budget=settings.n_train + settings.m_candidates,
-            repeats=settings.repeats,
-        )
-        tuner = SearchTuner(ctx, spec, strategy, search_settings,
-                            measurer=measurer)
-    else:
-        tuner = MLAutoTuner(ctx, spec, settings, measurer=measurer)
+    tune, shard_path, trace_path = payload
+    shard = MeasurementDB(Path(shard_path))
+    tracer = (
+        Tracer(trace_path, manifest=run_manifest(**tune.as_dict()))
+        if trace_path
+        else NULL_TRACER
+    )
     try:
-        result = tuner.tune(np.random.default_rng(seed), model_seed=seed)
+        result, tuner = run_tune(tune, tracer=tracer, db=shard)
     finally:
         tracer.close()
-    if shard.path is not None:
-        shard.save()
-    return result, measurer.stats, ctx.ledger
+    shard.save()
+    return result, tuner.measurer.stats, tuner.context.ledger
 
 
 def run_campaign_grid(
     specs: Sequence[KernelSpec],
     devices: Sequence[str],
-    settings: Optional[TunerSettings] = None,
+    n_train: int = 800,
+    m_candidates: int = 80,
     db: Optional[MeasurementDB] = None,
     max_workers: Optional[int] = None,
     seed: int = 0,
@@ -322,51 +293,47 @@ def run_campaign_grid(
     worker's runtime with the same fault injector; cells then tune through
     the resilient path and their stats carry the fault counters.
 
-    ``strategy`` swaps the per-cell tuner: ``"ml"`` (default) runs the
-    paper's two-stage ANN tuner; any strategy-zoo name or ``"bandit"``
-    runs a model-free :class:`~repro.core.strategies.SearchTuner` with
-    the same measurement allowance (``n_train + m_candidates``).
+    Every cell runs the :class:`~repro.core.recipe.TuneSpec` of its
+    (kernel, device) with these ``n_train``/``m_candidates``/``seed``/
+    ``strategy``: ``"ml"`` (default) is the paper's two-stage ANN tuner,
+    any strategy-zoo name or ``"bandit"`` a model-free search with the
+    same measurement allowance (``n_train + m_candidates``).
     """
     specs = list(specs)
     devices = list(devices)
     if not specs or not devices:
         raise ValueError("need at least one kernel and one device")
-    if settings is None:
-        settings = TunerSettings(n_train=800, m_candidates=80)
-    if strategy != "ml":
-        from repro.core.strategies import STRATEGY_CHOICES
-
-        if strategy not in STRATEGY_CHOICES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected 'ml' or one of "
-                f"{sorted(STRATEGY_CHOICES)}"
-            )
+    # Build (and so validate) every cell's spec before forking workers.
+    tunes = [
+        TuneSpec(spec, key, n_train=n_train, m_candidates=m_candidates,
+                 seed=seed, strategy=strategy, faults=faults)
+        for spec in specs
+        for key in devices
+    ]
     if tracer is None:
         tracer = NULL_TRACER
-    cells = [(spec, key) for spec in specs for key in devices]
 
     tmpdir = Path(tempfile.mkdtemp(prefix="repro-campaign-"))
     try:
         payloads: List[tuple] = []
-        for spec, key in cells:
-            shard_path = tmpdir / f"{spec.name}-{key}.json"
+        for tune in tunes:
+            name = tune.kernel_spec().name
+            device_name = get_device(tune.device).name
+            shard_path = tmpdir / f"{name}-{tune.device}.json"
             if db is not None:
-                known = db.table(spec.name, get_device(key).name)
+                known = db.table(name, device_name)
                 if known:
                     shard = MeasurementDB(shard_path)
-                    shard.put_many(spec.name, get_device(key).name, known)
+                    shard.put_many(name, device_name, known)
                     shard.save()
             trace_path = (
-                str(tmpdir / f"{spec.name}-{key}.trace.jsonl")
+                str(tmpdir / f"{name}-{tune.device}.trace.jsonl")
                 if tracer.enabled
                 else None
             )
-            payloads.append(
-                (spec, key, settings, seed, str(shard_path), trace_path,
-                 faults, strategy)
-            )
+            payloads.append((tune, str(shard_path), trace_path))
 
-        with tracer.span("campaign.grid", cells=len(cells)):
+        with tracer.span("campaign.grid", cells=len(tunes)):
             if max_workers is not None and max_workers <= 1:
                 outcomes = [_run_grid_cell(p) for p in payloads]
             else:
@@ -375,17 +342,18 @@ def run_campaign_grid(
                     outcomes = list(pool.map(_run_grid_cell, payloads))
 
         grid_cells = []
-        for (spec, key), payload, outcome in zip(cells, payloads, outcomes):
+        for (_, shard_path, trace_path), outcome in zip(payloads, outcomes):
             result, stats, ledger = outcome
             if db is not None:
-                db.merge_from(MeasurementDB(Path(payload[4])))
-            device_name = get_device(key).name
-            if payload[5]:
-                tracer.merge_file(payload[5], worker=f"{spec.name}@{device_name}")
+                db.merge_from(MeasurementDB(Path(shard_path)))
+            if trace_path:
+                tracer.merge_file(
+                    trace_path, worker=f"{result.kernel}@{result.device}"
+                )
             grid_cells.append(
                 GridCell(
-                    kernel=spec.name,
-                    device=device_name,
+                    kernel=result.kernel,
+                    device=result.device,
                     result=result,
                     stats=stats,
                     ledger=ledger,

@@ -9,7 +9,7 @@ Layout:
 
 * :mod:`repro.serve.protocol` — wire format (requests, responses).
 * :mod:`repro.serve.broker` — the shared measurement pump.
-* :mod:`repro.serve.state` — campaign identity, caches, client budgets.
+* :mod:`repro.serve.state` — watch identity, caches, client budgets.
 * :mod:`repro.serve.campaigns` — campaign execution (the CLI ``tune``
   path, bit-for-bit).
 * :mod:`repro.serve.server` — the asyncio daemon (``python -m repro
@@ -22,15 +22,9 @@ from repro.serve.campaigns import result_payload, run_campaign
 from repro.serve.client import ServerRejected, TuningClient, run_load
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.serve.server import TuningServer
-from repro.serve.state import (
-    CampaignKey,
-    ClientAccount,
-    ModelCache,
-    ResultCache,
-)
+from repro.serve.state import ClientAccount, ModelCache, ResultCache
 
 __all__ = [
-    "CampaignKey",
     "ClientAccount",
     "MeasurementBroker",
     "ModelCache",

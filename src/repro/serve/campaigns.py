@@ -1,12 +1,12 @@
 """Campaign execution for the daemon: the CLI ``tune`` path, verbatim.
 
-A fresh campaign must be bit-identical to ``repro tune`` with the same
-``(kernel, device, n_train, m_candidates, seed)``: same ``Context``
-construction, same RNG seeding, same ``tune(rng, model_seed=seed)``
-call.  The only deliberate additions are invisible to the numbers —
-the shared measurement broker (whose FIFO execution through
-``measure_batch_direct`` preserves the engine's serial-equivalence
-invariant) and an optional streaming tracer (observability only).
+A fresh campaign is :func:`~repro.core.recipe.run_tune` on the request's
+:class:`~repro.core.recipe.TuneSpec` — the very call ``repro tune``
+makes, so it is bit-identical to the CLI for the same spec.  The only
+additions are invisible to the numbers: the shared measurement broker
+(whose FIFO execution through ``measure_batch_direct`` preserves the
+engine's serial-equivalence invariant) and an optional streaming tracer
+(observability only).
 """
 
 from __future__ import annotations
@@ -18,13 +18,22 @@ import numpy as np
 
 from repro.core.measure import Measurer
 from repro.core.online import OnlineSettings, OnlineTuner
-from repro.core.tuner import MLAutoTuner, TunerSettings
-from repro.kernels import get_benchmark
+from repro.core.recipe import TuneSpec, run_tune
+from repro.core.tuner import TunerSettings
 from repro.obs import NULL_TRACER, Tracer
 from repro.runtime import Context
 from repro.simulator.devices import get_device
+from repro.simulator.noise import CostLedger
 
-from repro.serve.state import CampaignKey
+
+def _cost(ledger: CostLedger) -> Dict[str, float]:
+    return {
+        "compile_s": ledger.compile_s,
+        "run_s": ledger.run_s,
+        "failed_s": ledger.failed_s,
+        "retry_s": ledger.retry_s,
+        "total_s": ledger.total_s,
+    }
 
 
 def result_payload(result, space) -> Dict[str, Any]:
@@ -51,7 +60,7 @@ def result_payload(result, space) -> Dict[str, Any]:
 
 
 def run_campaign(
-    key: CampaignKey,
+    spec: TuneSpec,
     batcher=None,
     sink: Optional[Callable[[Dict[str, Any]], None]] = None,
     register: Optional[Callable[[Measurer], None]] = None,
@@ -65,41 +74,12 @@ def run_campaign(
     starts, so the server's ``stats`` op can report the live per-campaign
     ``failure_breakdown()`` while the campaign is in flight.
     """
-    spec = get_benchmark(key.kernel)
-    device = get_device(key.device)
     tracer = Tracer(sink=sink) if sink is not None else NULL_TRACER
-    ctx = Context(device, seed=key.seed, tracer=tracer, faults=key.faults)
-    if key.strategy != "ml":
-        from repro.core.strategies import SearchSettings, SearchTuner
-
-        search_settings = SearchSettings(
-            budget=key.n_train + key.m_candidates,
-            max_cost_s=key.budget_s,
-        )
-        measurer = Measurer(
-            ctx, spec, repeats=search_settings.repeats, batcher=batcher
-        )
-        if register is not None:
-            register(measurer)
-        tuner = SearchTuner(
-            ctx, spec, key.strategy, search_settings, measurer=measurer
-        )
-    else:
-        settings = TunerSettings(
-            n_train=key.n_train,
-            m_candidates=key.m_candidates,
-            max_cost_s=key.budget_s,
-        )
-        measurer = Measurer(
-            ctx, spec, repeats=settings.repeats, batcher=batcher
-        )
-        if register is not None:
-            register(measurer)
-        tuner = MLAutoTuner(ctx, spec, settings, measurer=measurer)
-    rng = np.random.default_rng(key.seed)
     t0 = time.perf_counter()
     try:
-        result = tuner.tune(rng, model_seed=key.seed)
+        result, tuner = run_tune(
+            spec, tracer=tracer, batcher=batcher, register=register
+        )
     finally:
         tracer.close()
     wall_s = time.perf_counter() - t0
@@ -113,16 +93,9 @@ def run_campaign(
             model._model.tracer = NULL_TRACER
         model._sweeper = None  # was compiled against the closed tracer
 
-    ledger = ctx.ledger
     return {
-        "result": result_payload(result, spec.space),
-        "cost": {
-            "compile_s": ledger.compile_s,
-            "run_s": ledger.run_s,
-            "failed_s": ledger.failed_s,
-            "retry_s": ledger.retry_s,
-            "total_s": ledger.total_s,
-        },
+        "result": result_payload(result, tuner.spec.space),
+        "cost": _cost(tuner.context.ledger),
         "wall_s": wall_s,
         # Fitted stage-one model (None when training was skipped/degraded);
         # the server parks it in the shared ModelCache for `predict`.
@@ -144,19 +117,19 @@ def run_watch(
     identity: a watch lives on its own drift clock, so two "identical"
     watches are different campaigns by definition.
     """
-    spec = get_benchmark(params["kernel"])
-    device = get_device(params["device"])
+    tune = params["spec"]
+    spec = tune.kernel_spec()
     tracer = Tracer(sink=sink) if sink is not None else NULL_TRACER
     ctx = Context(
-        device,
-        seed=params["seed"],
+        get_device(tune.device),
+        seed=tune.seed,
         tracer=tracer,
-        faults=params["faults"],
+        faults=tune.faults,
         drift=params["drift"],
     )
     tune_settings = TunerSettings(
-        n_train=params["n_train"],
-        m_candidates=params["m_candidates"],
+        n_train=tune.n_train,
+        m_candidates=tune.m_candidates,
     )
     measurer = Measurer(
         ctx, spec, repeats=tune_settings.repeats, batcher=batcher
@@ -175,10 +148,10 @@ def run_watch(
         tune_settings=tune_settings,
         measurer=measurer,
     )
-    rng = np.random.default_rng(params["seed"])
+    rng = np.random.default_rng(tune.seed)
     t0 = time.perf_counter()
     try:
-        report = online.run(rng, model_seed=params["seed"])
+        report = online.run(rng, model_seed=tune.seed)
     finally:
         tracer.close()
     wall_s = time.perf_counter() - t0
@@ -189,15 +162,4 @@ def run_watch(
         payload["incumbent_config"] = dict(spec.space[report.incumbent])
     payload["detector"] = online.detector.snapshot()
 
-    ledger = ctx.ledger
-    return {
-        "result": payload,
-        "cost": {
-            "compile_s": ledger.compile_s,
-            "run_s": ledger.run_s,
-            "failed_s": ledger.failed_s,
-            "retry_s": ledger.retry_s,
-            "total_s": ledger.total_s,
-        },
-        "wall_s": wall_s,
-    }
+    return {"result": payload, "cost": _cost(ctx.ledger), "wall_s": wall_s}

@@ -24,6 +24,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.core.recipe import TuneSpec
 from repro.serve import protocol
 
 
@@ -86,8 +87,8 @@ class TuningClient:
         kernel: str,
         device: str,
         config: Dict[str, int],
-        n_train: int = 1000,
-        seed: int = 0,
+        n_train: int = TuneSpec.n_train,
+        seed: int = TuneSpec.seed,
     ) -> Dict[str, Any]:
         self.send({
             "op": "predict", "id": "predict", "kernel": kernel,
@@ -113,11 +114,11 @@ class TuningClient:
         self,
         kernel: str,
         device: str,
-        n_train: int = 1000,
-        m_candidates: int = 100,
-        seed: int = 0,
-        budget_s: Optional[float] = None,
-        faults: Optional[str] = None,
+        n_train: int = TuneSpec.n_train,
+        m_candidates: int = TuneSpec.m_candidates,
+        seed: int = TuneSpec.seed,
+        budget_s: Optional[float] = TuneSpec.budget_s,
+        faults: Optional[str] = TuneSpec.faults,
         stream: bool = False,
         on_event=None,
         req_id: str = "tune",
@@ -334,9 +335,10 @@ def main(argv=None) -> int:
     one = sub.add_parser("submit", help="submit one tune request")
     one.add_argument("-k", "--kernel", required=True)
     one.add_argument("-d", "--device", required=True)
-    one.add_argument("-n", "--n-train", type=int, default=1000)
-    one.add_argument("-m", "--m-candidates", type=int, default=100)
-    one.add_argument("--seed", type=int, default=0)
+    one.add_argument("-n", "--n-train", type=int, default=TuneSpec.n_train)
+    one.add_argument("-m", "--m-candidates", type=int,
+                     default=TuneSpec.m_candidates)
+    one.add_argument("--seed", type=int, default=TuneSpec.seed)
     one.add_argument("--budget", type=float, default=None)
     one.add_argument("--faults", default=None)
     one.add_argument("--stream", action="store_true",

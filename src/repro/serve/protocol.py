@@ -9,13 +9,15 @@ Requests
 ``{"op": "tune", "id": "r1", "kernel": "convolution", "device": "nvidia",
 "n_train": 1000, "m_candidates": 100, "seed": 0, "budget_s": null,
 "faults": null, "stream": false}``
-    Run (or join, or replay) a tuning campaign.  ``budget_s`` caps the
-    campaign's simulated ledger spend (see ``TunerSettings.max_cost_s``);
-    ``stream: true`` subscribes the client to the campaign's trace events.
+    Run (or join, or replay) a tuning campaign.  Every field but ``id``
+    and ``stream`` is a :class:`~repro.core.recipe.TuneSpec` field (also
+    ``strategy``, default ``"ml"``).  ``budget_s`` caps the campaign's
+    simulated ledger spend; ``stream: true`` subscribes the client to the
+    campaign's trace events.
 ``{"op": "predict", "kernel": ..., "device": ..., "n_train": ..., "seed":
 ..., "config": {...name: value...}}``
     Predict one configuration's time from the shared model cache (a model
-    is cached by every fresh campaign).
+    is cached by every fresh campaign, under ``TuneSpec.model_key()``).
 ``{"op": "watch", "id": "w1", "kernel": ..., "device": ..., "n_train":
 400, "m_candidates": 40, "seed": 0, "steps": 120, "interval_s": 30.0,
 "retune_window": 32, "drift": "thermal-throttle", "faults": null,
@@ -49,36 +51,35 @@ the emitting layer, matching the trace-file convention).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+
+from repro.core.recipe import TuneSpec
+from repro.simulator.devices import DEVICES
+from repro.simulator.drift import make_drift
 
 #: Protocol revision, echoed in every hello/stats payload.
 PROTOCOL_VERSION = 1
 
-#: Defaults applied to ``tune`` requests (mirrors ``repro tune`` CLI).
-TUNE_DEFAULTS: Dict[str, Any] = {
-    "n_train": 1000,
-    "m_candidates": 100,
-    "seed": 0,
-    "budget_s": None,
-    "faults": None,
-    "strategy": "ml",
-    "stream": False,
-}
+#: The :class:`~repro.core.recipe.TuneSpec` fields each request may set;
+#: absent or null fields take the spec's defaults (``repro tune``'s).
+TUNE_FIELDS = tuple(f.name for f in dataclasses.fields(TuneSpec))
+WATCH_FIELDS = ("kernel", "device", "n_train", "m_candidates", "seed",
+                "faults")
+PREDICT_FIELDS = ("kernel", "device", "n_train", "seed")
 
 #: Defaults applied to ``watch`` requests (mirrors ``repro watch`` CLI).
-#: Smaller tune stage than TUNE_DEFAULTS: a watch spends its budget over
+#: Smaller tune stage than a ``tune``: a watch spends its budget over
 #: the whole monitoring horizon, not all up front.
 WATCH_DEFAULTS: Dict[str, Any] = {
     "n_train": 400,
     "m_candidates": 40,
-    "seed": 0,
     "steps": 120,
     "interval_s": 30.0,
     "retune_window": 32,
     "drift": None,
-    "faults": None,
     "warm_start": True,
     "stream": True,
 }
@@ -122,68 +123,44 @@ def decode(line: bytes | str) -> Dict[str, Any]:
     return obj
 
 
-def validate_tune(req: Mapping[str, Any]) -> Dict[str, Any]:
-    """Canonicalize a ``tune`` request: defaults applied, types checked.
-
-    Kernel/device *existence* is the server's job (it owns the catalogs);
-    this layer only enforces shape so admission control never sees junk.
-    """
-    out = dict(TUNE_DEFAULTS)
+def parse_spec(
+    req: Mapping[str, Any], op: str, fields: Sequence[str], **defaults
+) -> TuneSpec:
+    """The :class:`TuneSpec` a request names: its non-null ``fields`` over
+    ``defaults``.  Unknown request fields are ignored; a spec that fails
+    :class:`TuneSpec`'s checks is a :class:`ProtocolError`, so admission
+    control never sees a tune it cannot run."""
     for field in ("kernel", "device"):
         value = req.get(field)
         if not isinstance(value, str) or not value:
-            raise ProtocolError(f"tune request needs a string '{field}'")
-        out[field] = value
-    for field in ("n_train", "m_candidates", "seed"):
-        if field in req and req[field] is not None:
-            if not isinstance(req[field], int) or isinstance(req[field], bool):
-                raise ProtocolError(f"'{field}' must be an integer")
-            out[field] = req[field]
-    if out["n_train"] < 1 or out["m_candidates"] < 1:
-        raise ProtocolError("'n_train' and 'm_candidates' must be >= 1")
-    if "budget_s" in req and req["budget_s"] is not None:
-        budget = req["budget_s"]
-        if not isinstance(budget, (int, float)) or isinstance(budget, bool):
-            raise ProtocolError("'budget_s' must be a number")
-        if budget <= 0:
-            raise ProtocolError("'budget_s' must be positive")
-        out["budget_s"] = float(budget)
-    if "faults" in req and req["faults"] is not None:
-        if not isinstance(req["faults"], str):
-            raise ProtocolError("'faults' must be a profile spec string")
-        out["faults"] = req["faults"]
-    if "strategy" in req and req["strategy"] is not None:
-        from repro.core.strategies import STRATEGY_CHOICES
+            raise ProtocolError(f"{op} request needs a string '{field}'")
+    if req["device"] not in DEVICES:  # the wire names catalog keys only
+        raise ProtocolError(
+            f"unknown device {req['device']!r}; known: {sorted(DEVICES)}"
+        )
+    given = {f: req[f] for f in fields if req.get(f) is not None}
+    try:
+        return TuneSpec(**{**defaults, **given})
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
-        choices = ("ml",) + STRATEGY_CHOICES
-        if req["strategy"] not in choices:
-            raise ProtocolError(
-                f"'strategy' must be one of {sorted(choices)}"
-            )
-        out["strategy"] = req["strategy"]
-    out["stream"] = bool(req.get("stream", False))
-    return out
+
+def parse_tune(req: Mapping[str, Any]) -> Tuple[TuneSpec, bool]:
+    """A ``tune`` request as ``(spec, stream)``."""
+    return parse_spec(req, "tune", TUNE_FIELDS), bool(req.get("stream", False))
 
 
 def validate_watch(req: Mapping[str, Any]) -> Dict[str, Any]:
-    """Canonicalize a ``watch`` request: defaults applied, types checked.
-
-    Same division of labour as :func:`validate_tune`: shape here,
-    kernel/device/profile existence in the server.
-    """
+    """Canonicalize a ``watch`` request: its tune stage as ``spec`` (a
+    :class:`TuneSpec`) plus the monitoring fields, defaults applied."""
     out = dict(WATCH_DEFAULTS)
-    for field in ("kernel", "device"):
-        value = req.get(field)
-        if not isinstance(value, str) or not value:
-            raise ProtocolError(f"watch request needs a string '{field}'")
-        out[field] = value
-    for field in ("n_train", "m_candidates", "seed", "steps", "retune_window"):
+    stage = {f: out.pop(f) for f in ("n_train", "m_candidates")}
+    out["spec"] = parse_spec(req, "watch", WATCH_FIELDS, **stage)
+    for field in ("steps", "retune_window"):
         if field in req and req[field] is not None:
             if not isinstance(req[field], int) or isinstance(req[field], bool):
                 raise ProtocolError(f"'{field}' must be an integer")
             out[field] = req[field]
-    if out["n_train"] < 1 or out["m_candidates"] < 1:
-        raise ProtocolError("'n_train' and 'm_candidates' must be >= 1")
     if out["steps"] < 0:
         raise ProtocolError("'steps' must be >= 0")
     if out["retune_window"] < 1:
@@ -195,11 +172,14 @@ def validate_watch(req: Mapping[str, Any]) -> Dict[str, Any]:
         if interval < 0:
             raise ProtocolError("'interval_s' must be >= 0")
         out["interval_s"] = float(interval)
-    for field in ("drift", "faults"):
-        if field in req and req[field] is not None:
-            if not isinstance(req[field], str):
-                raise ProtocolError(f"'{field}' must be a profile spec string")
-            out[field] = req[field]
+    if "drift" in req and req["drift"] is not None:
+        if not isinstance(req["drift"], str):
+            raise ProtocolError("'drift' must be a profile spec string")
+        try:  # fail fast, before the campaign thread
+            make_drift(req["drift"])
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
+        out["drift"] = req["drift"]
     if "warm_start" in req and req["warm_start"] is not None:
         if not isinstance(req["warm_start"], bool):
             raise ProtocolError("'warm_start' must be a boolean")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import dataclasses
 import sys
 import threading
 import time
@@ -39,28 +40,23 @@ from typing import Any, Dict, List, Optional
 
 from repro.kernels import BENCHMARKS, get_benchmark
 from repro.simulator.devices import DEVICES
-from repro.simulator.drift import make_drift
-from repro.simulator.faults import make_injector
 
 from repro.serve import protocol
 from repro.serve.broker import MeasurementBroker
 from repro.serve.campaigns import run_campaign, run_watch
-from repro.serve.state import (
-    CampaignKey,
-    ClientAccount,
-    ModelCache,
-    ResultCache,
-    WatchKey,
-)
+from repro.serve.state import ClientAccount, ModelCache, ResultCache, WatchKey
 
 
 class _InFlight:
     """One running campaign plus everyone waiting on it."""
 
-    __slots__ = ("key", "subscribers", "sinks", "started_at", "measurer")
+    __slots__ = ("key", "fields", "subscribers", "sinks", "started_at",
+                 "measurer")
 
-    def __init__(self, key: CampaignKey) -> None:
-        self.key = key
+    def __init__(self, key) -> None:
+        self.key = key  # a TuneSpec or a WatchKey
+        # The key as the wire shows it (result, event and stats frames).
+        self.fields: Dict[str, Any] = key.as_dict()
         self.subscribers: List["_Connection.Pending"] = []
         self.sinks: List[Any] = []  # thread-safe event fan-out callables
         self.started_at = time.perf_counter()
@@ -131,7 +127,7 @@ class TuningServer:
         self.results = ResultCache(result_cache_size)
         self.models = ModelCache(model_cache_size)
         self.broker = MeasurementBroker()
-        # Keyed by CampaignKey (tune: coalescable) or WatchKey (unique).
+        # Keyed by TuneSpec (tune: coalescable) or WatchKey (unique).
         self.inflight: Dict[Any, _InFlight] = {}
         self.counters: Dict[str, int] = {
             "requests": 0,
@@ -308,41 +304,18 @@ class TuningServer:
         )
 
     def _handle_tune(self, conn: _Connection, req_id, req) -> None:
-        spec_req = protocol.validate_tune(req)
-        if spec_req["kernel"] not in BENCHMARKS:
-            raise protocol.ProtocolError(
-                f"unknown kernel {spec_req['kernel']!r}; "
-                f"known: {sorted(BENCHMARKS)}"
-            )
-        if spec_req["device"] not in DEVICES:
-            raise protocol.ProtocolError(
-                f"unknown device {spec_req['device']!r}; "
-                f"known: {sorted(DEVICES)}"
-            )
-        if spec_req["faults"] is not None:
-            try:  # fail fast, before the campaign thread
-                make_injector(spec_req["faults"])
-            except ValueError as exc:
-                raise protocol.ProtocolError(str(exc)) from None
+        spec, stream = protocol.parse_tune(req)
         if conn.account.exhausted():
             self._reject(conn, req_id, "client_budget_exhausted")
             return
 
-        budget = conn.account.effective_budget_s(spec_req["budget_s"])
-        key = CampaignKey(
-            kernel=spec_req["kernel"],
-            device=spec_req["device"],
-            problem=str(get_benchmark(spec_req["kernel"]).problem),
-            n_train=spec_req["n_train"],
-            m_candidates=spec_req["m_candidates"],
-            seed=spec_req["seed"],
-            budget_s=budget,
-            faults=spec_req["faults"],
-            strategy=spec_req["strategy"],
+        # The effective budget is part of the identity: a differently
+        # budgeted run may degrade differently, so it must not share a
+        # cache slot or a campaign.
+        key = dataclasses.replace(
+            spec, budget_s=conn.account.effective_budget_s(spec.budget_s)
         )
-        pending = _Connection.Pending(
-            conn, req_id, spec_req["stream"], initiator=False
-        )
+        pending = _Connection.Pending(conn, req_id, stream, initiator=False)
 
         cached = self.results.get(key)
         if cached is not None:
@@ -387,7 +360,7 @@ class TuningServer:
             for push in list(flight.sinks):
                 push(
                     protocol.response(
-                        "event", None, key=self._key_fields(key), record=record
+                        "event", None, key=flight.fields, record=record
                     )
                 )
 
@@ -411,22 +384,6 @@ class TuningServer:
         (budget, drain, queue depth) but no cache and no coalescing —
         see :class:`~repro.serve.state.WatchKey` for why."""
         params = protocol.validate_watch(req)
-        if params["kernel"] not in BENCHMARKS:
-            raise protocol.ProtocolError(
-                f"unknown kernel {params['kernel']!r}; "
-                f"known: {sorted(BENCHMARKS)}"
-            )
-        if params["device"] not in DEVICES:
-            raise protocol.ProtocolError(
-                f"unknown device {params['device']!r}; "
-                f"known: {sorted(DEVICES)}"
-            )
-        for field, coerce in (("faults", make_injector), ("drift", make_drift)):
-            if params[field] is not None:
-                try:  # fail fast, before the campaign thread
-                    coerce(params[field])
-                except ValueError as exc:
-                    raise protocol.ProtocolError(str(exc)) from None
         if conn.account.exhausted():
             self._reject(conn, req_id, "client_budget_exhausted")
             return
@@ -440,14 +397,9 @@ class TuningServer:
         self._watch_seq += 1
         key = WatchKey(
             serial=self._watch_seq,
-            kernel=params["kernel"],
-            device=params["device"],
-            n_train=params["n_train"],
-            m_candidates=params["m_candidates"],
-            seed=params["seed"],
+            spec=params["spec"],
             steps=params["steps"],
             drift=params["drift"],
-            faults=params["faults"],
         )
         pending = _Connection.Pending(
             conn, req_id, params["stream"], initiator=True
@@ -465,14 +417,12 @@ class TuningServer:
         self.inflight[key] = flight
         self.counters["watches"] += 1
 
-        key_fields = self._watch_key_fields(key)
-
         def sink(record: Dict[str, Any]) -> None:
             # Campaign-thread context: fan out to current subscribers.
             for push in list(flight.sinks):
                 push(
                     protocol.response(
-                        "event", None, key=key_fields, record=record
+                        "event", None, key=flight.fields, record=record
                     )
                 )
 
@@ -507,7 +457,7 @@ class TuningServer:
         wall = outcome["wall_s"]
         self._avg_wall_s = 0.7 * self._avg_wall_s + 0.3 * max(wall, 0.01)
         payload = {
-            "key": self._watch_key_fields(key),
+            "key": flight.fields,
             "result": outcome["result"],
             "cost": outcome["cost"],
             "wall_s": round(wall, 6),
@@ -516,21 +466,7 @@ class TuningServer:
             pending.conn.account.charge(outcome["cost"])
             self._send_result(pending, payload, cached=False, coalesced=False)
 
-    @staticmethod
-    def _watch_key_fields(key: WatchKey) -> Dict[str, Any]:
-        return {
-            "watch": key.serial,
-            "kernel": key.kernel,
-            "device": key.device,
-            "n_train": key.n_train,
-            "m_candidates": key.m_candidates,
-            "seed": key.seed,
-            "steps": key.steps,
-            "drift": key.drift,
-            "faults": key.faults,
-        }
-
-    def _campaign_done(self, key: CampaignKey, future) -> None:
+    def _campaign_done(self, key, future) -> None:
         flight = self.inflight.pop(key, None)
         if flight is None:
             return
@@ -550,7 +486,7 @@ class TuningServer:
         if outcome["model"] is not None:
             self.models.put(key.model_key(), outcome["model"])
         payload = {
-            "key": self._key_fields(key),
+            "key": flight.fields,
             "result": outcome["result"],
             "cost": outcome["cost"],
             "wall_s": round(wall, 6),
@@ -562,20 +498,6 @@ class TuningServer:
             self._send_result(
                 pending, payload, cached=False, coalesced=not pending.initiator
             )
-
-    @staticmethod
-    def _key_fields(key: CampaignKey) -> Dict[str, Any]:
-        return {
-            "kernel": key.kernel,
-            "device": key.device,
-            "problem": key.problem,
-            "n_train": key.n_train,
-            "m_candidates": key.m_candidates,
-            "seed": key.seed,
-            "budget_s": key.budget_s,
-            "faults": key.faults,
-            "strategy": key.strategy,
-        }
 
     def _send_result(
         self, pending, payload: Dict[str, Any], cached: bool, coalesced: bool
@@ -594,23 +516,13 @@ class TuningServer:
     # -- predict ---------------------------------------------------------------
 
     def _handle_predict(self, conn: _Connection, req_id, req) -> None:
-        for field in ("kernel", "device"):
-            if not isinstance(req.get(field), str):
-                raise protocol.ProtocolError(
-                    f"predict request needs a string {field!r}"
-                )
+        spec = protocol.parse_spec(req, "predict", protocol.PREDICT_FIELDS)
         config = req.get("config")
         if not isinstance(config, dict):
             raise protocol.ProtocolError(
                 "predict request needs a 'config' object of name: value"
             )
-        model_key = (
-            req["kernel"],
-            req["device"],
-            int(req.get("n_train", protocol.TUNE_DEFAULTS["n_train"])),
-            int(req.get("seed", protocol.TUNE_DEFAULTS["seed"])),
-        )
-        model = self.models.get(model_key)
+        model = self.models.get(spec.model_key())
         if model is None:
             conn.send(
                 protocol.response(
@@ -621,9 +533,9 @@ class TuningServer:
                 )
             )
             return
-        spec = get_benchmark(req["kernel"])
+        space = spec.kernel_spec().space
         try:
-            cfg = spec.space.config(**{k: int(v) for k, v in config.items()})
+            cfg = space.config(**{k: int(v) for k, v in config.items()})
         except (KeyError, TypeError, ValueError) as exc:
             raise protocol.ProtocolError(f"bad config: {exc}") from None
         pred = float(model.predict_indices([cfg.index])[0])
@@ -695,15 +607,9 @@ class TuningServer:
         """Live view of one in-flight campaign: its key, age, and the
         measurer's fault counters (``failure_breakdown()``) so operators
         see retry pressure without reading traces."""
-        key = flight.key
-        fields = (
-            self._watch_key_fields(key)
-            if isinstance(key, WatchKey)
-            else self._key_fields(key)
-        )
         m = flight.measurer
         return {
-            **fields,
+            **flight.fields,
             "age_s": round(time.perf_counter() - flight.started_at, 3),
             "failure_breakdown": (
                 m.stats.failure_breakdown() if m is not None else {}

@@ -29,36 +29,26 @@ from repro.serve.client import TuningClient, run_load
 from repro.serve.server import ServerThread, TuningServer
 
 
-def _probe_tune_cost_s(kernel: str, device: str, n_train: int,
-                       m_candidates: int, seed: int) -> float:
+def _probe_tune_cost_s(spec) -> float:
     """Simulated-second cost of the watch's initial tune, computed by
     running it locally.  Deterministic, so it exactly predicts where the
     server-side watch's drift clock stands when monitoring begins."""
-    import numpy as np
+    from repro.core.recipe import run_tune
 
-    from repro.core.tuner import MLAutoTuner, TunerSettings
-    from repro.kernels import get_benchmark
-    from repro.runtime import Context
-    from repro.simulator.devices import get_device
-
-    ctx = Context(get_device(device), seed=seed)
-    tuner = MLAutoTuner(
-        ctx, get_benchmark(kernel),
-        TunerSettings(n_train=n_train, m_candidates=m_candidates),
-    )
-    tuner.tune(np.random.default_rng(seed), model_seed=seed)
-    return ctx.ledger.total_s
+    _, tuner = run_tune(spec)
+    return tuner.context.ledger.total_s
 
 
 def _drift_smoke(args, server: TuningServer, port: int) -> tuple:
     """The --drift path: watch + load concurrently; returns
     (watch_reply, load_summary)."""
     from repro.core.drift import DetectorSettings
+    from repro.core.recipe import TuneSpec
 
-    kernel, device, seed = "convolution", "nvidia", 0
+    spec = TuneSpec("convolution", "nvidia", n_train=args.n_train,
+                    m_candidates=args.m_candidates)
     interval_s = 30.0
-    c0 = _probe_tune_cost_s(kernel, device, args.n_train,
-                            args.m_candidates, seed)
+    c0 = _probe_tune_cost_s(spec)
     # Onset after tune + calibration (+margin); the spec string appends
     # onset_s to the user's profile, later fields winning on conflict.
     calibration = DetectorSettings().calibration
@@ -73,9 +63,9 @@ def _drift_smoke(args, server: TuningServer, port: int) -> tuple:
     def run_watch_client():
         with TuningClient("127.0.0.1", port, timeout=600.0) as client:
             watch_out["reply"] = client.watch(
-                kernel, device,
-                n_train=args.n_train, m_candidates=args.m_candidates,
-                seed=seed, steps=args.steps, interval_s=interval_s,
+                spec.kernel, spec.device,
+                n_train=spec.n_train, m_candidates=spec.m_candidates,
+                seed=spec.seed, steps=args.steps, interval_s=interval_s,
                 retune_window=16, drift=drift_spec,
             )
 

@@ -4,9 +4,9 @@ Everything a request may touch concurrently lives here, behind small
 explicit locks.  The sharing story:
 
 * :class:`ResultCache` — completed campaigns keyed by their *full*
-  identity (:class:`CampaignKey`), so a replayed request is answered
-  without measuring anything.  Bounded LRU: a long-lived daemon must not
-  grow without limit.
+  identity (a :class:`~repro.core.recipe.TuneSpec` carrying the effective
+  budget), so a replayed request is answered without measuring anything.
+  Bounded LRU: a long-lived daemon must not grow without limit.
 * :class:`ModelCache` — the fitted :class:`~repro.core.model.PerformanceModel`
   of every fresh campaign, keyed by what determines its training set.
   Serves ``predict`` requests across clients.
@@ -22,38 +22,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
+from repro.core.recipe import TuneSpec
 from repro.simulator.noise import CostLedger
-
-
-@dataclass(frozen=True)
-class CampaignKey:
-    """Complete identity of a tuning campaign.
-
-    Two requests with equal keys provably compute the same result (the
-    whole pipeline is deterministic in these fields), which is what makes
-    coalescing and result-caching semantically invisible.  ``problem`` is
-    derived from the kernel spec — part of the identity so a future
-    problem-size knob cannot silently alias cache entries.  ``budget_s``
-    is the *effective* campaign budget (request budget clamped by the
-    client's remaining allowance): a differently-budgeted run may degrade
-    differently, so it must not share a cache slot.
-    """
-
-    kernel: str
-    device: str
-    problem: str
-    n_train: int
-    m_candidates: int
-    seed: int
-    budget_s: Optional[float] = None
-    faults: Optional[str] = None
-    strategy: str = "ml"
-
-    def model_key(self) -> Tuple[str, str, int, int]:
-        """What determines the fitted stage-one model (see ModelCache)."""
-        return (self.kernel, self.device, self.n_train, self.seed)
 
 
 @dataclass(frozen=True)
@@ -68,14 +40,24 @@ class WatchKey:
     """
 
     serial: int
-    kernel: str
-    device: str
-    n_train: int
-    m_candidates: int
-    seed: int
+    spec: TuneSpec
     steps: int
     drift: Optional[str] = None
-    faults: Optional[str] = None
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The watch identity as stats, event and result frames show it."""
+        spec = self.spec
+        return {
+            "watch": self.serial,
+            "kernel": spec.kernel,
+            "device": spec.device,
+            "n_train": spec.n_train,
+            "m_candidates": spec.m_candidates,
+            "seed": spec.seed,
+            "steps": self.steps,
+            "drift": self.drift,
+            "faults": spec.faults,
+        }
 
 
 class _LRU:
@@ -126,11 +108,11 @@ class _LRU:
 
 
 class ResultCache(_LRU):
-    """Completed campaign payloads, keyed by :class:`CampaignKey`."""
+    """Completed campaign payloads, keyed by the campaign's ``TuneSpec``."""
 
 
 class ModelCache(_LRU):
-    """Fitted performance models, keyed by ``CampaignKey.model_key()``."""
+    """Fitted performance models, keyed by ``TuneSpec.model_key()``."""
 
 
 class ClientAccount:

@@ -68,6 +68,24 @@ class TestCommands:
         assert rc == 0
         assert "best configuration" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["-d", "nvidia", "-n", "5"], "n_train"),
+        (["-d", "nope"], "unknown device"),
+        (["-d", "nvidia", "--faults", "bogus"], "unknown fault profile"),
+    ])
+    def test_tune_bad_input_exits_with_one_line(self, argv, needle):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "-k", "convolution", *argv])
+        message = str(exc.value.code)
+        assert message.startswith("repro tune: ") and needle in message
+        assert "\n" not in message
+
+    def test_tune_model_free_strategy_accepts_small_n(self, capsys):
+        rc = main(["tune", "-k", "convolution", "-d", "nvidia", "-n", "5",
+                   "-m", "3", "--strategy", "random", "--seed", "1"])
+        assert rc == 0
+        assert "best configuration" in capsys.readouterr().out
+
     def test_predict_roundtrip(self, capsys):
         rc = main(
             ["predict", "-k", "convolution", "-d", "nvidia", "-n", "300",

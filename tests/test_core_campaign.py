@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.campaign import PortabilityCampaign
 from repro.core.results import MeasurementDB
-from repro.core.tuner import TunerSettings
 from repro.kernels import ConvolutionKernel
 
 
@@ -15,7 +14,7 @@ def campaign_result():
     campaign = PortabilityCampaign(
         spec,
         devices=("intel", "nvidia"),
-        settings=TunerSettings(n_train=400, m_candidates=40),
+        n_train=400, m_candidates=40,
     )
     return campaign.run(seed=3)
 
@@ -49,7 +48,7 @@ class TestCampaign:
         campaign = PortabilityCampaign(
             spec,
             devices=("nvidia",),
-            settings=TunerSettings(n_train=150, m_candidates=15),
+            n_train=150, m_candidates=15,
             db=db,
         )
         result = campaign.run(seed=5)
@@ -80,7 +79,7 @@ class TestCampaignGrid:
         report = run_campaign_grid(
             [spec],
             ["intel", "nvidia"],
-            settings=TunerSettings(n_train=150, m_candidates=15),
+            n_train=150, m_candidates=15,
             db=db,
             max_workers=2,
             seed=7,
@@ -122,7 +121,7 @@ class TestCampaignGrid:
         again = run_campaign_grid(
             [spec],
             ["intel", "nvidia"],
-            settings=TunerSettings(n_train=150, m_candidates=15),
+            n_train=150, m_candidates=15,
             db=MeasurementDB(db_path),
             max_workers=1,  # inline: same semantics as the pooled path
             seed=7,

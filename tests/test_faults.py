@@ -457,7 +457,7 @@ def test_campaign_grid_inline_with_faults(tmp_path):
     report = run_campaign_grid(
         [get_benchmark("convolution")],
         ["nvidia", "intel"],
-        settings=TunerSettings(n_train=200, m_candidates=20, k_bag=11),
+        n_train=200, m_candidates=20,
         max_workers=1,
         seed=5,
         faults=FLAKY,

@@ -337,7 +337,7 @@ class TestCampaignGridTraces:
         report = run_campaign_grid(
             [spec],
             ["nvidia", "intel"],
-            settings=TunerSettings(n_train=150, m_candidates=10),
+            n_train=150, m_candidates=10,
             max_workers=2,
             seed=13,
             tracer=tracer,
@@ -368,7 +368,7 @@ class TestCampaignGridTraces:
         report = run_campaign_grid(
             [spec],
             ["nvidia", "intel"],
-            settings=TunerSettings(n_train=150, m_candidates=10),
+            n_train=150, m_candidates=10,
             max_workers=1,  # inline workers, same merge path
             seed=13,
             tracer=tracer,
@@ -385,7 +385,7 @@ class TestCampaignGridTraces:
         run_campaign_grid(
             [spec],
             ["intel"],
-            settings=TunerSettings(n_train=150, m_candidates=10),
+            n_train=150, m_candidates=10,
             max_workers=1,
             seed=13,
         )

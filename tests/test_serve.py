@@ -16,7 +16,8 @@ from repro.serve import protocol
 from repro.serve.broker import MeasurementBroker
 from repro.serve.client import ServerRejected, TuningClient, run_load
 from repro.serve.server import ServerThread, TuningServer
-from repro.serve.state import CampaignKey, ClientAccount, ResultCache
+from repro.core.recipe import TuneSpec
+from repro.serve.state import ClientAccount, ResultCache
 from repro.simulator.devices import get_device
 
 SMALL = dict(n_train=300, m_candidates=30)
@@ -46,21 +47,23 @@ class TestProtocol:
                 protocol.decode(bad)
 
     def test_validate_tune_applies_defaults(self):
-        out = protocol.validate_tune({"kernel": "k", "device": "d"})
-        assert out["n_train"] == protocol.TUNE_DEFAULTS["n_train"]
-        assert out["budget_s"] is None and out["stream"] is False
+        spec, stream = protocol.parse_tune(
+            {"kernel": "convolution", "device": "nvidia"}
+        )
+        assert spec.n_train == TuneSpec.n_train
+        assert spec.budget_s is None and stream is False
 
     def test_validate_tune_ignores_unknown_fields(self):
         # Includes the retired "fit_mode": a client that still sends it
         # gets the same canonical request, hence the same campaign key.
-        base = {"kernel": "k", "device": "d"}
+        base = {"kernel": "convolution", "device": "nvidia"}
         for extra in ({"fit_mode": "classic"}, {"colour": "blue"}):
-            assert protocol.validate_tune({**base, **extra}) == (
-                protocol.validate_tune(base)
+            assert protocol.parse_tune({**base, **extra}) == (
+                protocol.parse_tune(base)
             )
 
     def test_validate_tune_rejects_bad_fields(self):
-        base = {"kernel": "k", "device": "d"}
+        base = {"kernel": "convolution", "device": "nvidia"}
         for patch in [
             {"kernel": 3},
             {"n_train": "many"},
@@ -70,7 +73,18 @@ class TestProtocol:
             {"faults": 7},
         ]:
             with pytest.raises(protocol.ProtocolError):
-                protocol.validate_tune({**base, **patch})
+                protocol.parse_tune({**base, **patch})
+
+    def test_ml_tune_needs_one_sample_per_bagging_fold(self):
+        """The ANN cannot train on fewer stage-one samples than bagging
+        folds, so an 'ml' tune with n_train < k_bag is refused at
+        parse time; model-free strategies fit nothing and accept it."""
+        base = {"kernel": "convolution", "device": "nvidia",
+                "n_train": 5, "m_candidates": 3}
+        with pytest.raises(protocol.ProtocolError, match="k_bag|bagging"):
+            protocol.parse_tune(base)
+        spec, _ = protocol.parse_tune({**base, "strategy": "random"})
+        assert spec.n_train == 5
 
     def test_non_finite_floats_stay_strict_json(self):
         line = protocol.encode({"x": float("nan"), "y": float("inf")})
@@ -166,10 +180,10 @@ class TestState:
         assert acct.effective_budget_s(5.0) == 5.0
 
     def test_campaign_key_identity(self):
-        a = CampaignKey("k", "d", "p", 100, 10, 0)
-        assert a == CampaignKey("k", "d", "p", 100, 10, 0)
-        assert a != CampaignKey("k", "d", "p", 100, 10, 1)
-        assert a != CampaignKey("k", "d", "p", 100, 10, 0, budget_s=5.0)
+        a = TuneSpec("convolution", "nvidia", 100, 10, 0)
+        assert a == TuneSpec("convolution", "nvidia", 100, 10, 0)
+        assert a != TuneSpec("convolution", "nvidia", 100, 10, 1)
+        assert a != TuneSpec("convolution", "nvidia", 100, 10, 0, budget_s=5.0)
 
 
 # -- the daemon ----------------------------------------------------------------
@@ -203,8 +217,8 @@ class TestServer:
         from repro.serve.state import WatchKey
 
         server = TuningServer()
-        key = CampaignKey(
-            kernel="convolution", device="nvidia", problem=None,
+        key = TuneSpec(
+            kernel="convolution", device="nvidia",
             n_train=50, m_candidates=10, seed=3, budget_s=None,
             faults="flaky-gpu",
         )
@@ -216,9 +230,10 @@ class TestServer:
         flight.measurer = m
         server.inflight[key] = flight
         # A watch campaign whose measurer has not registered yet.
-        wkey = WatchKey(serial=1, kernel="convolution", device="nvidia",
-                        n_train=50, m_candidates=10, seed=3, steps=5,
-                        drift="thermal-throttle", faults=None)
+        wkey = WatchKey(serial=1,
+                        spec=TuneSpec("convolution", "nvidia", n_train=50,
+                                      m_candidates=10, seed=3),
+                        steps=5, drift="thermal-throttle")
         server.inflight[wkey] = _InFlight(wkey)
 
         stats = server.stats()
@@ -248,6 +263,33 @@ class TestServer:
                     "faults": "bogus-profile"})
             assert c.recv()["type"] == "error"
             assert c.ping()
+
+    def test_unrunnable_tune_is_refused_at_admission(self, daemon):
+        """An 'ml' tune with n_train < k_bag used to be acked, counted as
+        a campaign and hold a worker before failing; now it is an error
+        reply and never becomes a campaign."""
+        server, port = daemon
+        campaigns = server.counters["campaigns"]
+        errors = server.counters["errors"]
+        with TuningClient("127.0.0.1", port) as c:
+            c.send({"op": "tune", "id": "tiny", "kernel": "convolution",
+                    "device": "nvidia", "n_train": 5, "m_candidates": 3})
+            reply = c.recv()
+        assert reply["type"] == "error" and reply["id"] == "tiny"
+        assert "n_train" in reply["error"]
+        assert server.counters["campaigns"] == campaigns
+        assert server.counters["errors"] == errors + 1
+
+    def test_predict_with_malformed_identity_is_a_protocol_error(self, daemon):
+        _, port = daemon
+        with TuningClient("127.0.0.1", port) as c:
+            for seed in ("x", 1.9):
+                c.send({"op": "predict", "id": "p", "kernel": "convolution",
+                        "device": "nvidia", "seed": seed,
+                        "config": {"wg_x": 1}})
+                reply = c.recv()
+                assert reply["type"] == "error"
+                assert reply["error"] == "'seed' must be an integer"
 
     def test_concurrent_identical_requests_coalesce_bit_identical(self):
         """The tentpole contract: N concurrent identical requests run ONE

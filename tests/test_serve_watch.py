@@ -57,7 +57,7 @@ def test_request_count_exact_under_concurrency():
 
 def test_validate_watch_defaults_and_overrides():
     out = protocol.validate_watch({"kernel": "convolution", "device": "nvidia"})
-    assert out["n_train"] == protocol.WATCH_DEFAULTS["n_train"]
+    assert out["spec"].n_train == protocol.WATCH_DEFAULTS["n_train"]
     assert out["steps"] == protocol.WATCH_DEFAULTS["steps"]
     assert out["stream"] is True  # watch streams by default
     out = protocol.validate_watch({
