@@ -12,9 +12,10 @@ Wraps the paper's learning recipe (§5.2):
 
 Whole-space sweeps route through the fused
 :class:`~repro.core.sweep.PredictionSweeper` engine whenever the default
-bagged-ANN ensemble is fitted (custom model families fall back to the
-chunked reference path, kept as :meth:`predict_indices_reference` and as
-the benchmark gate's baseline).
+bagged-ANN ensemble is fitted; custom model families, which have no
+weights to fold, take the chunked reference path
+(:meth:`PerformanceModel.predict_indices_reference`, also the engine's
+test oracle).
 """
 
 from __future__ import annotations
@@ -26,16 +27,13 @@ import numpy as np
 
 from repro.core.encoding import ConfigEncoder
 from repro.core.measure import MeasurementSet
-from repro.core.sweep import PredictionSweeper, SweepSettings, select_top_m
+from repro.core.sweep import SWEEP_CHUNK, PredictionSweeper, select_top_m
 from repro.ml.bagging import BaggedRegressor
 from repro.ml.ensemble import EnsembleMLPRegressor
 from repro.ml.metrics import mean_relative_error
 from repro.ml.mlp import MLPRegressor
 from repro.obs import NULL_TRACER
 from repro.params import ParameterSpace
-
-#: Chunk size for whole-space prediction sweeps (reference path).
-PREDICT_CHUNK = 1 << 17
 
 
 def default_ann_factory(seed: Optional[int] = None) -> Callable[[], MLPRegressor]:
@@ -65,10 +63,6 @@ class PerformanceModel:
         ablation to swap in trees/kNN/linear models).
     seed:
         Controls fold assignment and member weight initialization.
-    sweep:
-        :class:`~repro.core.sweep.SweepSettings` for whole-space
-        prediction sweeps (chunking, float32 lane, process sharding;
-        ``enabled=False`` forces the chunked reference path).
     freeze_patience / freeze_tol:
         Optional overrides for the default ensemble's per-member freeze
         thresholds (``None`` keeps the ensemble defaults;
@@ -84,7 +78,6 @@ class PerformanceModel:
         seed: Optional[int] = None,
         log_transform: bool = True,
         tracer=None,
-        sweep: Optional[SweepSettings] = None,
         freeze_patience: Optional[float] = None,
         freeze_tol: Optional[float] = None,
     ):
@@ -95,7 +88,6 @@ class PerformanceModel:
         self.k = k
         self.seed = seed
         self.log_transform = log_transform
-        self.sweep = sweep if sweep is not None else SweepSettings()
         self.freeze_patience = freeze_patience
         self.freeze_tol = freeze_tol
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -190,21 +182,12 @@ class PerformanceModel:
     # -- prediction -----------------------------------------------------------
 
     def _get_sweeper(self) -> Optional[PredictionSweeper]:
-        """The compiled sweep engine, or None when it does not apply
-        (disabled, or a custom model family with no weights to fold)."""
-        if not self.sweep.enabled or not isinstance(
-            self._model, EnsembleMLPRegressor
-        ):
+        """The compiled sweep engine, or None for a custom model family
+        (no weights to fold)."""
+        if not isinstance(self._model, EnsembleMLPRegressor):
             return None
         if self._sweeper is None:
-            self._sweeper = PredictionSweeper(
-                self.space,
-                self.encoder,
-                self._model,
-                log_transform=self.log_transform,
-                settings=self.sweep,
-                tracer=self.tracer,
-            )
+            self._sweeper = PredictionSweeper(self)
         return self._sweeper
 
     def predict_indices(self, indices: Sequence[int]) -> np.ndarray:
@@ -226,11 +209,12 @@ class PerformanceModel:
         return out
 
     def predict_indices_reference(self, indices: Sequence[int]) -> np.ndarray:
-        """The chunked float64 reference path (pre-sweeper semantics).
+        """The chunked reference path: encode, ``model.predict``, exp.
 
-        Kept verbatim as the parity/performance baseline: the sweep
-        engine's float64 lane is gated against it at <= 1e-9 relative
-        (``benchmarks/test_perf_predict_sweep.py``)."""
+        The route for custom model families and the sweep engine's
+        oracle (<= 1e-9 relative, ``tests/test_sweep.py``).  It chunks by
+        the engine's :data:`~repro.core.sweep.SWEEP_CHUNK`, so both issue
+        the same GEMM shapes and agree under threaded BLAS too."""
         if self._model is None:
             raise RuntimeError("predict before fit")
         indices = np.asarray(indices, dtype=np.int64)
@@ -238,8 +222,8 @@ class PerformanceModel:
         with self.tracer.span(
             "model.predict", n=indices.shape[0], engine="reference"
         ):
-            for start in range(0, indices.shape[0], PREDICT_CHUNK):
-                chunk = indices[start : start + PREDICT_CHUNK]
+            for start in range(0, indices.shape[0], SWEEP_CHUNK):
+                chunk = indices[start : start + SWEEP_CHUNK]
                 X = self.encoder.encode_indices(chunk)
                 y = self._model.predict(X)
                 out[start : start + chunk.shape[0]] = (
@@ -268,7 +252,7 @@ class PerformanceModel:
         streamingly, so memory stays O(chunk + m) rather than O(space).
         Prediction ties are broken by smallest configuration index, making
         the result deterministic and identical across the streaming and
-        reference paths, chunk sizes, and worker counts.
+        reference paths and chunk sizes.
         """
         if m < 1:
             raise ValueError("m must be >= 1")
@@ -322,7 +306,6 @@ class PerformanceModel:
         space: ParameterSpace,
         path,
         log_transform: Optional[bool] = None,
-        sweep: Optional[SweepSettings] = None,
     ) -> "PerformanceModel":
         """Restore a model saved with :meth:`save`, bound to ``space``.
 
@@ -356,7 +339,7 @@ class PerformanceModel:
                     + ("exponentiated" if log_transform else "left in log space")
                 )
             log_transform = persisted
-        model = cls(space, log_transform=log_transform, sweep=sweep)
+        model = cls(space, log_transform=log_transform)
         expected = model.encoder.n_features
         got = inner.n_features
         if got != expected:

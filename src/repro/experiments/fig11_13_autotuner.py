@@ -22,7 +22,6 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from repro.core.model import PerformanceModel
-from repro.core.sweep import SweepSettings
 from repro.experiments.oracle_store import OracleProvider
 from repro.experiments.presets import get_preset
 from repro.experiments.reporting import header, table
@@ -46,7 +45,6 @@ def tuner_grid_for_device(
     repeats: int,
     seed: int,
     min_valid_train: int = 30,
-    sweep: Optional[SweepSettings] = None,
     oracles: Optional[OracleProvider] = None,
 ) -> Dict:
     provider = oracles if oracles is not None else OracleProvider()
@@ -69,7 +67,7 @@ def tuner_grid_for_device(
                 for m in m_values:
                     failures[(n, m)] += 1
                 continue
-            model = PerformanceModel(spec.space, seed=seed + r, sweep=sweep)
+            model = PerformanceModel(spec.space, seed=seed + r)
             model.fit(train_idx[ok], measured[ok])
             # One fused whole-space sweep serves every M (tops are nested).
             top = model.top_m(m_max)
@@ -100,7 +98,6 @@ def run(
     preset=None,
     devices=MAIN_DEVICES,
     seed: int = 0,
-    sweep: Optional[SweepSettings] = None,
     oracles: Optional[OracleProvider] = None,
 ) -> Dict:
     p = get_preset(preset)
@@ -109,7 +106,7 @@ def run(
     repeats = max(p.repeats, 2)
     grids = {
         d: tuner_grid_for_device(
-            d, p.tuner_sizes, p.tuner_m, repeats=repeats, seed=seed, sweep=sweep,
+            d, p.tuner_sizes, p.tuner_m, repeats=repeats, seed=seed,
             oracles=oracles,
         )
         for d in devices

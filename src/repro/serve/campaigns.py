@@ -91,7 +91,6 @@ def run_campaign(
         model.tracer = NULL_TRACER
         if model._model is not None:
             model._model.tracer = NULL_TRACER
-        model._sweeper = None  # was compiled against the closed tracer
 
     return {
         "result": result_payload(result, tuner.spec.space),

@@ -72,6 +72,7 @@ class TestCommands:
         (["-d", "nvidia", "-n", "5"], "n_train"),
         (["-d", "nope"], "unknown device"),
         (["-d", "nvidia", "--faults", "bogus"], "unknown fault profile"),
+        (["-d", "nvidia", "--drift", "bogus"], "unknown drift profile"),
     ])
     def test_tune_bad_input_exits_with_one_line(self, argv, needle):
         with pytest.raises(SystemExit) as exc:
@@ -79,6 +80,44 @@ class TestCommands:
         message = str(exc.value.code)
         assert message.startswith("repro tune: ") and needle in message
         assert "\n" not in message
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["campaign", "-k", "convolution", "-d", "nvidia,nope"],
+         "unknown device"),
+        (["campaign", "-k", "nope", "-d", "nvidia"], "unknown kernel"),
+        (["campaign", "-k", "convolution", "-d", "nvidia", "-n", "5"],
+         "n_train"),
+        (["campaign", "-k", ",", "-d", "nvidia"], "at least one kernel"),
+        (["watch", "-k", "convolution", "-d", "nope"], "unknown device"),
+        (["watch", "-k", "convolution", "-d", "nvidia", "-n", "5"], "n_train"),
+        (["watch", "-k", "convolution", "-d", "nvidia", "--drift", "bogus"],
+         "unknown drift profile"),
+        (["search", "-k", "convolution", "-d", "nope"], "unknown device"),
+        (["search", "-k", "convolution", "-d", "nvidia", "--budget", "0"],
+         "budget"),
+        (["predict", "-k", "convolution", "-d", "nope", "--config", "x=1"],
+         "unknown device"),
+        (["predict", "-k", "convolution", "-d", "nvidia", "-n", "5",
+          "--config", "x=1"], "n_train"),
+    ])
+    def test_bad_input_exits_with_one_line(self, argv, needle):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert message.startswith(f"repro {argv[0]}: ") and needle in message
+        assert "\n" not in message
+
+    def test_sweep_bench_reports_speedup_and_parity(self, capsys):
+        rc = main(["sweep-bench", "-k", "convolution", "-d", "nvidia",
+                   "-n", "200", "--limit", "5000", "--top-m", "20",
+                   "--seed", "0"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "speedup (f64 vs reference) :" in out
+        rel = [line for line in out.splitlines()
+               if line.startswith("float64 max relative error :")]
+        assert len(rel) == 1
+        assert float(rel[0].split(":")[1]) <= 1e-9
 
     def test_tune_model_free_strategy_accepts_small_n(self, capsys):
         rc = main(["tune", "-k", "convolution", "-d", "nvidia", "-n", "5",

@@ -2,12 +2,10 @@
 
 The engine's contract (``src/repro/core/sweep.py``):
 
-* the float64 lane matches the chunked reference path to <= 1e-9
-  relative (with and without the log transform);
-* the float32 lane's top-M overlaps the exact lane's >= 99%;
+* it matches the chunked reference path to <= 1e-9 relative (with and
+  without the log transform), whatever the BLAS thread count;
 * top-M is deterministic under prediction ties (smallest index wins) and
-  identical across chunk sizes, streaming vs full selection, and worker
-  counts;
+  identical across chunk sizes and streaming vs full selection;
 * empty and singleton candidate sets behave like the reference.
 """
 
@@ -16,12 +14,7 @@ import pytest
 
 import repro.core.sweep as sweep_mod
 from repro.core.model import PerformanceModel
-from repro.core.sweep import (
-    PredictionSweeper,
-    SweepSettings,
-    _TopMAccumulator,
-    select_top_m,
-)
+from repro.core.sweep import PredictionSweeper, _TopMAccumulator, select_top_m
 from repro.experiments.oracle import TrueTimeOracle
 from repro.kernels import ConvolutionKernel
 from repro.simulator import NVIDIA_K40
@@ -42,16 +35,6 @@ def fitted(spec):
     ok = ~np.isnan(t)
     model = PerformanceModel(spec.space, seed=7).fit(idx[ok], t[ok])
     return model
-
-
-def make_sweeper(model, **kw):
-    return PredictionSweeper(
-        model.space,
-        model.encoder,
-        model._model,
-        log_transform=model.log_transform,
-        settings=SweepSettings(**kw),
-    )
 
 
 class TestSelectTopM:
@@ -83,7 +66,7 @@ class TestSelectTopM:
 
     def test_split_merge_equals_global(self):
         """Selecting per part then re-selecting over the survivors equals
-        one global selection — the streaming/sharding correctness core."""
+        one global selection — the streaming correctness core."""
         rng = np.random.default_rng(1)
         v = rng.integers(0, 7, 500).astype(np.float64)
         i = rng.permutation(500).astype(np.int64)
@@ -121,28 +104,14 @@ class TestSelectTopM:
         np.testing.assert_array_equal(idx, base_idx)
 
 
-class TestSweepSettings:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepSettings(chunk=16)
-        with pytest.raises(ValueError):
-            SweepSettings(dtype="float16")
-        with pytest.raises(ValueError):
-            SweepSettings(workers=-1)
-
-    def test_defaults(self):
-        s = SweepSettings()
-        assert s.enabled and s.dtype == "float64" and s.workers == 0
-
-
 class TestFloat64Parity:
-    """The exact lane vs the chunked reference path."""
+    """The engine vs the chunked reference path."""
 
     def test_parity_on_random_subset(self, fitted):
         rng = np.random.default_rng(3)
         idx = rng.choice(fitted.space.size, 50_001, replace=False).astype(np.int64)
         ref = fitted.predict_indices_reference(idx)
-        got = make_sweeper(fitted).predict(idx)
+        got = PredictionSweeper(fitted).predict(idx)
         rel = np.max(np.abs(got - ref) / np.abs(ref))
         assert rel <= 1e-9
 
@@ -157,19 +126,21 @@ class TestFloat64Parity:
         )
         probe = np.arange(0, spec.space.size, 17, dtype=np.int64)
         ref = model.predict_indices_reference(probe)
-        got = make_sweeper(model).predict(probe)
+        got = PredictionSweeper(model).predict(probe)
         rel = np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300))
         assert rel <= 1e-9
 
-    def test_parity_across_chunk_sizes(self, fitted):
+    def test_parity_across_chunk_sizes(self, fitted, monkeypatch):
         idx = np.arange(0, fitted.space.size, 11, dtype=np.int64)
-        base = make_sweeper(fitted, chunk=1 << 14).predict(idx)
+        monkeypatch.setattr(sweep_mod, "SWEEP_CHUNK", 1 << 14)
+        base = PredictionSweeper(fitted).predict(idx)
         for chunk in (256, 1 << 10, 1 << 16):
-            got = make_sweeper(fitted, chunk=chunk).predict(idx)
+            monkeypatch.setattr(sweep_mod, "SWEEP_CHUNK", chunk)
+            got = PredictionSweeper(fitted).predict(idx)
             np.testing.assert_array_equal(got, base)
 
     def test_range_work_equals_array_work(self, fitted):
-        s = make_sweeper(fitted)
+        s = PredictionSweeper(fitted)
         lo = fitted.space.size - 40_000
         all_pred = s.predict(None)
         np.testing.assert_array_equal(
@@ -183,21 +154,22 @@ class TestTopM:
         idx = np.arange(fitted.space.size, dtype=np.int64)
         ref = fitted.predict_indices_reference(idx)
         _, want = select_top_m(ref, idx, 300)
-        got = make_sweeper(fitted).top_m(300)
+        got = PredictionSweeper(fitted).top_m(300)
         np.testing.assert_array_equal(got, want)
 
     def test_model_routes_match_either_engine(self, fitted):
-        """PerformanceModel.top_m gives the same answer with the sweeper
-        enabled and with it disabled (the reference fallback)."""
-        on = PerformanceModel(fitted.space, seed=7)
-        off = PerformanceModel(fitted.space, seed=7, sweep=SweepSettings(enabled=False))
-        on._model = off._model = fitted._model
-        np.testing.assert_array_equal(on.top_m(100), off.top_m(100))
+        """PerformanceModel.top_m through the engine gives the same answer
+        as selecting over the reference oracle's predictions."""
+        model = PerformanceModel(fitted.space, seed=7)
+        model._model = fitted._model
+        idx = np.arange(fitted.space.size, dtype=np.int64)
+        _, want = select_top_m(fitted.predict_indices_reference(idx), idx, 100)
+        np.testing.assert_array_equal(model.top_m(100), want)
 
     def test_nested_prefix_property(self, fitted):
         """top_m(M) is a prefix of top_m(M') for M < M' — what the tuner's
         escalation and the fig11 shared-model grid rely on."""
-        s = make_sweeper(fitted)
+        s = PredictionSweeper(fitted)
         big = s.top_m(400)
         for m in (1, 50, 399):
             np.testing.assert_array_equal(s.top_m(m), big[:m])
@@ -217,18 +189,18 @@ class TestTopM:
 
     def test_m_larger_than_pool(self, fitted):
         pool = np.array([5, 3, 1000], dtype=np.int64)
-        got = make_sweeper(fitted).top_m(50, pool)
+        got = PredictionSweeper(fitted).top_m(50, pool)
         assert sorted(got.tolist()) == [3, 5, 1000]
 
 
 class TestEdgeCases:
     def test_empty_candidate_set(self, fitted):
-        s = make_sweeper(fitted)
+        s = PredictionSweeper(fitted)
         assert s.predict(np.array([], dtype=np.int64)).shape == (0,)
         assert s.top_m(10, np.array([], dtype=np.int64)).shape == (0,)
 
     def test_singleton_candidate_set(self, fitted):
-        s = make_sweeper(fitted)
+        s = PredictionSweeper(fitted)
         one = s.predict(np.array([1234], dtype=np.int64))
         assert one.shape == (1,) and one[0] > 0
         np.testing.assert_array_equal(
@@ -236,7 +208,7 @@ class TestEdgeCases:
         )
 
     def test_out_of_range_rejected(self, fitted):
-        s = make_sweeper(fitted)
+        s = PredictionSweeper(fitted)
         with pytest.raises(IndexError):
             s.predict(np.array([fitted.space.size], dtype=np.int64))
         with pytest.raises(IndexError):
@@ -244,7 +216,7 @@ class TestEdgeCases:
 
     def test_non_1d_rejected(self, fitted):
         with pytest.raises(ValueError):
-            make_sweeper(fitted).predict(np.zeros((2, 2), dtype=np.int64))
+            PredictionSweeper(fitted).predict(np.zeros((2, 2), dtype=np.int64))
 
     def test_custom_model_family_falls_back(self, spec):
         """A non-ensemble model has no weights to fold: the model must
@@ -262,58 +234,21 @@ class TestEdgeCases:
         assert model._get_sweeper() is None
         assert model.top_m(5).shape == (5,)
 
-
-class TestFloat32Lane:
-    def test_top_m_overlap(self, fitted):
-        exact = make_sweeper(fitted).top_m(200)
-        fast = make_sweeper(fitted, dtype="float32").top_m(200)
-        overlap = len(set(exact.tolist()) & set(fast.tolist())) / 200
-        assert overlap >= 0.99
-
-    def test_predictions_close(self, fitted):
-        idx = np.arange(0, fitted.space.size, 29, dtype=np.int64)
-        ref = fitted.predict_indices_reference(idx)
-        fast = make_sweeper(fitted, dtype="float32").predict(idx)
-        rel = np.max(np.abs(fast - ref) / np.abs(ref))
-        assert rel < 1e-4  # float32 forward pass, not the exact lane
-
-    def test_output_contract_is_float64(self, fitted):
-        out = make_sweeper(fitted, dtype="float32").predict(
-            np.arange(100, dtype=np.int64)
-        )
-        assert out.dtype == np.float64
-
-
-class TestSharding:
-    def test_multi_worker_equals_single(self, fitted, monkeypatch):
-        """Shard boundaries must not change any result bit."""
-        monkeypatch.setattr(sweep_mod, "MIN_CONFIGS_PER_WORKER", 1 << 12)
-        idx = np.arange(0, 40_000, dtype=np.int64)
-        single = make_sweeper(fitted)
-        multi = make_sweeper(fitted, workers=2)
-        assert multi._n_shards(idx.shape[0]) == 2  # sharding actually engaged
-        np.testing.assert_array_equal(multi.predict(idx), single.predict(idx))
-        np.testing.assert_array_equal(multi.top_m(150, idx), single.top_m(150, idx))
-
-    def test_small_sweeps_stay_inline(self, fitted):
-        s = make_sweeper(fitted, workers=8)
-        assert s._n_shards(100) == 1  # pool would cost more than it buys
-
-    def test_shard_traces_merge_into_parent(self, fitted, monkeypatch, tmp_path):
+    def test_engine_emits_into_the_models_current_tracer(self, fitted, tmp_path):
+        """The compiled engine reads the tracer from its model, so a model
+        moved to a new tracer (the daemon's cached models) keeps its
+        engine and traces into the new sink."""
         from repro.obs import Tracer
 
-        monkeypatch.setattr(sweep_mod, "MIN_CONFIGS_PER_WORKER", 1 << 12)
-        path = tmp_path / "sweep.trace.jsonl"
-        tracer = Tracer(path)
-        s = PredictionSweeper(
-            fitted.space,
-            fitted.encoder,
-            fitted._model,
-            settings=SweepSettings(workers=2),
-            tracer=tracer,
-        )
-        s.top_m(50, np.arange(0, 20_000, dtype=np.int64))
-        tracer.close()
-        text = path.read_text()
-        assert "sweep.shard" in text
-        assert "sweep-shard-0" in text and "sweep-shard-1" in text
+        model = PerformanceModel(fitted.space, seed=7)
+        model._model = fitted._model
+        paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+        engines = []
+        for path in paths:
+            model.tracer = Tracer(path)
+            model.top_m(5)
+            model.tracer.close()
+            engines.append(model._sweeper)
+        assert engines[0] is engines[1]
+        for path in paths:
+            assert '"sweep.top_m"' in path.read_text()
